@@ -10,13 +10,15 @@
 //     extra request must get a status=shed response on a healthy
 //     connection, never a hang or a severed one;
 //   * handle-based evaluate vs shipping the full hypothesis text — the
-//     registered-model path must be measurably cheaper at p50 (it skips
-//     the per-request model parse and the model bytes on the wire);
+//     registered-model path must beat a text the daemon has not seen
+//     (parse + compile) at p50, and a repeated text must parse nothing
+//     (the plan cache is keyed by formula source text);
 //   * recovery: journaled sessions re-indexed at startup and lazily
 //     re-warmed on first use, against the steady-state warm path.
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -383,10 +385,37 @@ int BenchOverload(const Problem& problem, BenchJsonWriter& json) {
   return 0;
 }
 
+// The daemon's formula-parse counter, read over the wire (-1 on failure).
+int64_t ModelParses(Client& client) {
+  Message stats;
+  stats.Set("op", "stats");
+  StatusOr<Message> response = client.Call(stats);
+  if (!response.ok()) return -1;
+  return std::stoll(response->Get("model-parses", "-1"));
+}
+
+// The same model with its formula wrapped in `depth` redundant
+// parentheses: an equivalent hypothesis whose source text (and so its
+// plan-cache key) is new.
+std::string WrapFormula(const std::string& model, int depth) {
+  const std::string keyword = "formula ";
+  const size_t at = model.find(keyword);
+  const size_t start = at + keyword.size();
+  const size_t end = model.find('\n', start);
+  return model.substr(0, start) + std::string(depth, '(') +
+         model.substr(start, end - start) + std::string(depth, ')') +
+         model.substr(end);
+}
+
 // Evaluate by model handle vs by shipped hypothesis text, same session,
-// same data. The handle path skips the per-request ParseHypothesis and
-// keeps the model bytes off the wire; its p50 must come in below the
-// full-text path (the re-parse BENCH p50 was dominated by).
+// same data. The plan cache is keyed by formula source text, so a warm
+// text evaluate (a text seen before) parses nothing and costs about what
+// the handle path does; the handle path's remaining advantage is over a
+// cold text, one the daemon has not seen, which pays the parse and the
+// compile. Gates: the handle p50 beats a cold text leg (an equivalent
+// formula with distinct source text every rep), the warm text reps leave
+// the daemon's model-parses counter unchanged, and all three legs agree
+// on the verdict.
 int BenchHandleEvaluate(const Problem& problem, BenchJsonWriter& json) {
   ServerHarness harness((ServerOptions()));
   Client client = harness.Connect();
@@ -398,8 +427,7 @@ int BenchHandleEvaluate(const Problem& problem, BenchJsonWriter& json) {
   const std::string model_id = learned->Get("model-id");
 
   // A handful of examples: the evaluation itself is nearly free, so the
-  // measured gap is the cost the handle path removes — re-parsing the
-  // hypothesis on every request and shipping its bytes over the wire.
+  // measured gaps are model resolution and the model bytes on the wire.
   TrainingSet tiny;
   for (Vertex v = 0; v < 4; ++v) tiny.push_back({{v}, v % 2 == 0});
   const std::string tiny_data = TrainingSetToText(tiny);
@@ -414,8 +442,9 @@ int BenchHandleEvaluate(const Problem& problem, BenchJsonWriter& json) {
   by_handle.Set("session", std::to_string(*session));
   by_handle.Set("model-id", model_id);
   by_handle.Set("data", tiny_data);
+  Message cold_text = by_text;
 
-  // Prime both paths (plan cache, session memo), then measure.
+  // Prime both warm paths (plan cache, session memo), then measure.
   for (const Message* request : {&by_text, &by_handle}) {
     StatusOr<Message> primed = client.Call(*request);
     if (!primed.ok() || primed->Get("status") != kStatusOk) return 1;
@@ -423,45 +452,74 @@ int BenchHandleEvaluate(const Problem& problem, BenchJsonWriter& json) {
   const int kReps = 60;
   std::vector<double> text_ms;
   std::vector<double> handle_ms;
+  std::vector<double> cold_ms;
   std::string text_error;
   std::string handle_error;
+  std::string cold_error;
+  int64_t warm_text_parses = 0;
   for (int rep = 0; rep < kReps; ++rep) {
+    const int64_t parses_before = ModelParses(client);
     Stopwatch text_watch;
     StatusOr<Message> text_response = client.Call(by_text);
     text_ms.push_back(text_watch.ElapsedMillis());
     if (!text_response.ok()) return 1;
     text_error = text_response->Get("error");
+    const int64_t parses_after = ModelParses(client);
+    if (parses_before < 0 || parses_after < 0) return 1;
+    warm_text_parses += parses_after - parses_before;
     Stopwatch handle_watch;
     StatusOr<Message> handle_response = client.Call(by_handle);
     handle_ms.push_back(handle_watch.ElapsedMillis());
     if (!handle_response.ok()) return 1;
     handle_error = handle_response->Get("error");
+    cold_text.Set("model", WrapFormula(model, rep + 1));
+    Stopwatch cold_watch;
+    StatusOr<Message> cold_response = client.Call(cold_text);
+    cold_ms.push_back(cold_watch.ElapsedMillis());
+    if (!cold_response.ok() || cold_response->Get("status") != kStatusOk) {
+      return 1;
+    }
+    cold_error = cold_response->Get("error");
   }
-  if (text_error != handle_error) {
+  if (text_error != handle_error || cold_error != handle_error) {
     std::printf("VIOLATION: handle evaluate disagrees with full text!\n");
     return 1;
   }
   std::sort(text_ms.begin(), text_ms.end());
   std::sort(handle_ms.begin(), handle_ms.end());
+  std::sort(cold_ms.begin(), cold_ms.end());
   const double text_p50 = Percentile(text_ms, 50.0);
   const double handle_p50 = Percentile(handle_ms, 50.0);
+  const double cold_p50 = Percentile(cold_ms, 50.0);
 
   std::printf("\nevaluate: model handle vs full hypothesis text "
               "(n = %d, %zu examples, %d reps):\n\n",
               problem.n, tiny.size(), kReps);
   Table table({"path", "p50 ms", "p99 ms"});
-  table.AddRow({"full text", FormatDouble(text_p50, 4),
+  table.AddRow({"full text (warm)", FormatDouble(text_p50, 4),
                 FormatDouble(Percentile(text_ms, 99.0), 4)});
+  table.AddRow({"full text (cold)", FormatDouble(cold_p50, 4),
+                FormatDouble(Percentile(cold_ms, 99.0), 4)});
   table.AddRow({"model-id", FormatDouble(handle_p50, 4),
                 FormatDouble(Percentile(handle_ms, 99.0), 4)});
   table.Print();
+  std::printf("model parses over %d warm text reps: %lld\n", kReps,
+              static_cast<long long>(warm_text_parses));
 
   std::string config = "n=" + std::to_string(problem.n);
   json.Record("server/evaluate_fulltext_p50", config, text_p50, 1);
+  json.Record("server/evaluate_fulltext_cold_p50", config, cold_p50, 1);
   json.Record("server/evaluate_handle_p50", config, handle_p50, 1);
-  if (handle_p50 >= text_p50) {
+  if (warm_text_parses != 0) {
+    std::printf("VIOLATION: %lld model parses on repeated full-text "
+                "evaluates (the plan cache must key by source text)!\n",
+                static_cast<long long>(warm_text_parses));
+    return 1;
+  }
+  if (handle_p50 >= cold_p50) {
     std::printf("VIOLATION: handle evaluate p50 (%.4f ms) is not below "
-                "the full-text path (%.4f ms)!\n", handle_p50, text_p50);
+                "the cold full-text path (%.4f ms)!\n", handle_p50,
+                cold_p50);
     return 1;
   }
   return 0;

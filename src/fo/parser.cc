@@ -1,6 +1,7 @@
 #include "fo/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <vector>
 
 namespace folearn {
@@ -227,7 +228,13 @@ class Parser {
           SetError("expected threshold after 'exists>='");
           return nullptr;
         }
-        threshold = std::stoi(Advance().text);
+        const std::string digits = Advance().text;
+        const auto [end, ec] = std::from_chars(
+            digits.data(), digits.data() + digits.size(), threshold);
+        if (ec != std::errc() || end != digits.data() + digits.size()) {
+          SetError("counting threshold out of range: " + digits);
+          return nullptr;
+        }
       }
       if (Peek().kind != TokenKind::kIdent || IsReserved(Peek().text)) {
         SetError("expected variable after quantifier");

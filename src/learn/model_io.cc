@@ -1,6 +1,8 @@
 #include "learn/model_io.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -13,14 +15,17 @@ namespace folearn {
 
 namespace {
 
-bool ParseInt(const std::string& token, int* out) {
+// Decimal digits only, and no larger than a Vertex can hold: a value past
+// the 32-bit range is malformed input, never a wrapped (or UB) vertex id.
+bool ParseInt(std::string_view token, int* out) {
   if (token.empty()) return false;
-  int value = 0;
+  int64_t value = 0;
   for (char c : token) {
     if (c < '0' || c > '9') return false;
     value = value * 10 + (c - '0');
+    if (value > std::numeric_limits<Vertex>::max()) return false;
   }
-  *out = value;
+  *out = static_cast<int>(value);
   return true;
 }
 
@@ -29,11 +34,29 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-std::vector<std::string> Tokens(const std::string& line) {
-  std::vector<std::string> tokens = Split(line, ' ');
-  tokens.erase(std::remove(tokens.begin(), tokens.end(), std::string()),
-               tokens.end());
+std::vector<std::string_view> Tokens(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  size_t start = 0;
+  while (start <= line.size()) {
+    size_t end = line.find(' ', start);
+    if (end == std::string_view::npos) end = line.size();
+    if (end > start) tokens.push_back(line.substr(start, end - start));
+    start = end + 1;
+  }
   return tokens;
+}
+
+// Calls visit(line) for every non-blank, non-comment line of `text`,
+// whitespace-stripped; stops early when visit returns false.
+template <typename Visit>
+bool ForEachLine(std::string_view text, const Visit& visit) {
+  while (true) {
+    const size_t end = text.find('\n');
+    std::string_view line = StripWhitespace(text.substr(0, end));
+    if (!line.empty() && line[0] != '#' && !visit(line)) return false;
+    if (end == std::string_view::npos) return true;
+    text.remove_prefix(end + 1);
+  }
 }
 
 }  // namespace
@@ -54,41 +77,37 @@ std::optional<TrainingSet> TrainingSetFromText(std::string_view text,
                                                std::string* error) {
   TrainingSet examples;
   int k = -1;
-  for (const std::string& raw : Split(text, '\n')) {
-    std::string line(StripWhitespace(raw));
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> tokens = Tokens(line);
+  const bool ok = ForEachLine(text, [&](std::string_view line) {
+    std::vector<std::string_view> tokens = Tokens(line);
     if (tokens[0] == "examples") {
       if (k != -1 || tokens.size() != 2 || !ParseInt(tokens[1], &k)) {
-        Fail(error, "malformed 'examples' header: " + line);
-        return std::nullopt;
+        return Fail(error,
+                    "malformed 'examples' header: " + std::string(line));
       }
-      continue;
+      return true;
     }
     if (tokens[0] != "+" && tokens[0] != "-") {
-      Fail(error, "example lines must start with '+' or '-': " + line);
-      return std::nullopt;
+      return Fail(error, "example lines must start with '+' or '-': " +
+                             std::string(line));
     }
-    if (k == -1) {
-      Fail(error, "'examples <k>' header must come first");
-      return std::nullopt;
-    }
+    if (k == -1) return Fail(error, "'examples <k>' header must come first");
     if (static_cast<int>(tokens.size()) != k + 1) {
-      Fail(error, "expected " + std::to_string(k) + " vertices: " + line);
-      return std::nullopt;
+      return Fail(error, "expected " + std::to_string(k) +
+                             " vertices: " + std::string(line));
     }
     LabeledExample example;
     example.label = tokens[0] == "+";
     for (int i = 1; i <= k; ++i) {
       int v = 0;
       if (!ParseInt(tokens[i], &v)) {
-        Fail(error, "bad vertex: " + tokens[i]);
-        return std::nullopt;
+        return Fail(error, "bad vertex: " + std::string(tokens[i]));
       }
       example.tuple.push_back(v);
     }
     examples.push_back(std::move(example));
-  }
+    return true;
+  });
+  if (!ok) return std::nullopt;
   if (k == -1) {
     Fail(error, "missing 'examples <k>' header");
     return std::nullopt;
@@ -109,83 +128,95 @@ std::string HypothesisToText(const Hypothesis& hypothesis) {
   return out.str();
 }
 
-std::optional<Hypothesis> HypothesisFromText(std::string_view text,
-                                             std::string* error) {
-  Hypothesis hypothesis;
-  int k = -1;
-  int ell = -1;
+std::vector<std::string> HypothesisHeader::AllVars() const {
+  std::vector<std::string> vars = QueryVars(k);
+  std::vector<std::string> params = ParamVars(ell);
+  vars.insert(vars.end(), params.begin(), params.end());
+  return vars;
+}
+
+StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text) {
+  HypothesisHeader header;
+  header.k = -1;
+  header.ell = -1;
   bool have_formula = false;
-  for (const std::string& raw : Split(text, '\n')) {
-    std::string line(StripWhitespace(raw));
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> tokens = Tokens(line);
-    if (tokens[0] == "hypothesis") {
+  std::string error;
+  const bool ok = ForEachLine(text, [&](std::string_view line) {
+    // Only the keyword is tokenised: the formula line is the bulk of a
+    // model and stays an unsplit view.
+    const std::string_view keyword = line.substr(0, line.find(' '));
+    if (keyword == "formula") {
+      if (have_formula) return Fail(&error, "duplicate 'formula' line");
+      header.formula = StripWhitespace(line.substr(keyword.size()));
+      have_formula = true;
+      return true;
+    }
+    std::vector<std::string_view> tokens = Tokens(line);
+    if (keyword == "hypothesis") {
       if (tokens.size() != 5 || tokens[1] != "k" || tokens[3] != "ell" ||
-          !ParseInt(tokens[2], &k) || !ParseInt(tokens[4], &ell)) {
-        Fail(error, "malformed 'hypothesis' header: " + line);
-        return std::nullopt;
+          !ParseInt(tokens[2], &header.k) ||
+          !ParseInt(tokens[4], &header.ell)) {
+        return Fail(&error,
+                    "malformed 'hypothesis' header: " + std::string(line));
       }
-    } else if (tokens[0] == "params") {
+      return true;
+    }
+    if (keyword == "params") {
       for (size_t i = 1; i < tokens.size(); ++i) {
         int v = 0;
         if (!ParseInt(tokens[i], &v)) {
-          Fail(error, "bad parameter vertex: " + tokens[i]);
-          return std::nullopt;
+          return Fail(&error,
+                      "bad parameter vertex: " + std::string(tokens[i]));
         }
-        hypothesis.parameters.push_back(v);
+        header.parameters.push_back(v);
       }
-    } else if (tokens[0] == "formula") {
-      std::string formula_text = line.substr(std::string("formula").size());
-      std::string parse_error;
-      std::optional<FormulaRef> formula =
-          ParseFormula(formula_text, &parse_error);
-      if (!formula.has_value()) {
-        Fail(error, "formula parse error: " + parse_error);
-        return std::nullopt;
-      }
-      hypothesis.formula = *formula;
-      have_formula = true;
-    } else {
-      Fail(error, "unknown keyword: " + tokens[0]);
-      return std::nullopt;
+      return true;
     }
+    return Fail(&error, "unknown keyword: " + std::string(keyword));
+  });
+  if (!ok) return InvalidArgumentError(error);
+  if (header.k < 0 || header.ell < 0 || !have_formula) {
+    return InvalidArgumentError("hypothesis requires header and formula");
   }
-  if (k < 0 || ell < 0 || !have_formula) {
-    Fail(error, "hypothesis requires header and formula");
-    return std::nullopt;
+  if (static_cast<int>(header.parameters.size()) != header.ell) {
+    return InvalidArgumentError("parameter count does not match ell");
   }
-  if (static_cast<int>(hypothesis.parameters.size()) != ell) {
-    Fail(error, "parameter count does not match ell");
-    return std::nullopt;
+  return header;
+}
+
+StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header) {
+  std::string parse_error;
+  std::optional<FormulaRef> formula =
+      ParseFormula(header.formula, &parse_error);
+  if (!formula.has_value()) {
+    return InvalidArgumentError("formula parse error: " + parse_error);
   }
-  hypothesis.query_vars = QueryVars(k);
-  hypothesis.param_vars = ParamVars(ell);
   // The formula's free variables must be covered by x1..xk, y1..yℓ.
-  for (const std::string& var : hypothesis.formula->free_variables()) {
-    bool known =
-        std::find(hypothesis.query_vars.begin(), hypothesis.query_vars.end(),
-                  var) != hypothesis.query_vars.end() ||
-        std::find(hypothesis.param_vars.begin(), hypothesis.param_vars.end(),
-                  var) != hypothesis.param_vars.end();
-    if (!known) {
-      Fail(error, "formula uses unknown free variable '" + var + "'");
-      return std::nullopt;
+  const std::vector<std::string> frame = header.AllVars();
+  for (const std::string& var : (*formula)->free_variables()) {
+    if (std::find(frame.begin(), frame.end(), var) == frame.end()) {
+      return InvalidArgumentError("formula uses unknown free variable '" +
+                                  var + "'");
     }
   }
-  return hypothesis;
+  return *std::move(formula);
+}
+
+std::optional<Hypothesis> HypothesisFromText(std::string_view text,
+                                             std::string* error) {
+  StatusOr<Hypothesis> parsed = ParseHypothesis(text);
+  if (!parsed.ok()) {
+    Fail(error, parsed.status().message());
+    return std::nullopt;
+  }
+  return *std::move(parsed);
 }
 
 namespace {
 
-// Shared shape of the four Status-typed wrappers below: run the optional+
-// error-string parser, lift failures to kInvalidArgument; for files, read
-// first (kNotFound on a missing path) and prefix diagnostics with the path.
-template <typename T>
-StatusOr<T> LiftParse(std::optional<T> parsed, const std::string& error) {
-  if (!parsed.has_value()) return InvalidArgumentError(error);
-  return *std::move(parsed);
-}
-
+// Shared shape of the Status-typed wrappers below: parse failures are
+// kInvalidArgument; for files, read first (kNotFound on a missing path) and
+// prefix diagnostics with the path.
 template <typename T>
 StatusOr<T> PrefixPath(StatusOr<T> parsed, const std::string& path) {
   if (parsed.ok()) return parsed;
@@ -197,7 +228,9 @@ StatusOr<T> PrefixPath(StatusOr<T> parsed, const std::string& path) {
 
 StatusOr<TrainingSet> ParseTrainingSet(std::string_view text) {
   std::string error;
-  return LiftParse(TrainingSetFromText(text, &error), error);
+  std::optional<TrainingSet> parsed = TrainingSetFromText(text, &error);
+  if (!parsed.has_value()) return InvalidArgumentError(error);
+  return *std::move(parsed);
 }
 
 StatusOr<TrainingSet> LoadTrainingSetFile(const std::string& path) {
@@ -207,8 +240,16 @@ StatusOr<TrainingSet> LoadTrainingSetFile(const std::string& path) {
 }
 
 StatusOr<Hypothesis> ParseHypothesis(std::string_view text) {
-  std::string error;
-  return LiftParse(HypothesisFromText(text, &error), error);
+  StatusOr<HypothesisHeader> header = SplitHypothesisText(text);
+  if (!header.ok()) return header.status();
+  StatusOr<FormulaRef> formula = ParseHypothesisFormula(*header);
+  if (!formula.ok()) return formula.status();
+  Hypothesis hypothesis;
+  hypothesis.formula = *std::move(formula);
+  hypothesis.query_vars = QueryVars(header->k);
+  hypothesis.param_vars = ParamVars(header->ell);
+  hypothesis.parameters = std::move(header->parameters);
+  return hypothesis;
 }
 
 StatusOr<Hypothesis> LoadHypothesisFile(const std::string& path) {

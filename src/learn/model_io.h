@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "learn/dataset.h"
 #include "learn/hypothesis.h"
@@ -35,6 +36,32 @@ std::optional<TrainingSet> TrainingSetFromText(std::string_view text,
 std::string HypothesisToText(const Hypothesis& hypothesis);
 std::optional<Hypothesis> HypothesisFromText(std::string_view text,
                                              std::string* error = nullptr);
+
+// A hypothesis text split into its lines, with the formula left unparsed:
+// enough to validate a model against a graph and a training set, and to key
+// its compiled plan by source text, without paying for the formula parse.
+struct HypothesisHeader {
+  int k = 0;
+  int ell = 0;
+  std::vector<Vertex> parameters;  // exactly ell of them
+  // The formula line after its keyword, whitespace-stripped. A view into
+  // the text given to SplitHypothesisText; for a text HypothesisToText
+  // wrote it is exactly ToString(formula).
+  std::string_view formula;
+
+  // The frame x1…xk · y1…yℓ the formula is compiled against.
+  std::vector<std::string> AllVars() const;
+};
+
+// The one hypothesis-text reader: every header error HypothesisFromText
+// reports comes from here (kInvalidArgument). A text with two `formula`
+// lines is rejected.
+StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text);
+
+// Parses header.formula and checks that its free variables lie in
+// header.AllVars(). HypothesisFromText is SplitHypothesisText followed by
+// this call.
+StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header);
 
 // Status-typed variants (recoverable errors for the CLI and other loaders):
 // malformed text is kInvalidArgument with the parser diagnostic; the file

@@ -10,26 +10,6 @@ namespace folearn {
 
 namespace {
 
-// Key = printed formula + frame + engine + options fingerprint, separated
-// by the unit separator (which cannot occur in formula text or variable
-// names). The engine/fingerprint suffix keeps a tree-only entry and a
-// tree+bytecode entry for the same formula distinct, so neither collides
-// with nor double-counts the other's byte budget.
-std::string MakeKey(const FormulaRef& formula,
-                    std::span<const std::string> free_var_order,
-                    const EvalOptions& options) {
-  std::string key = ToString(formula);
-  for (const std::string& var : free_var_order) {
-    key.push_back('\x1f');
-    key.append(var);
-  }
-  key.push_back('\x1f');
-  key.append(EvalEngineName(ResolveEngine(options)));
-  key.push_back('\x1f');
-  key.append(options.missing_color_is_false ? "mcf1" : "mcf0");
-  return key;
-}
-
 int64_t StringBytes(const std::string& s) {
   return static_cast<int64_t>(sizeof(std::string)) +
          static_cast<int64_t>(s.capacity());
@@ -55,6 +35,31 @@ int64_t PlanPayloadBytes(const CompiledFormula& plan) {
 }
 
 }  // namespace
+
+// Key = formula source text + frame + engine + options fingerprint. The
+// source is length-prefixed because it may come straight off the wire:
+// without the prefix a text containing the unit separator could spell out
+// another text's frame and hit a plan compiled for a different frame. The
+// frame and suffix are separated by the unit separator (which cannot occur
+// in variable names); the engine/fingerprint suffix keeps a tree-only entry
+// and a tree+bytecode entry for the same formula distinct, so neither
+// collides with nor double-counts the other's byte budget.
+std::string PlanCache::MakeKey(std::string_view source,
+                               std::span<const std::string> free_var_order,
+                               const EvalOptions& options) {
+  std::string key = std::to_string(source.size());
+  key.push_back(':');
+  key.append(source);
+  for (const std::string& var : free_var_order) {
+    key.push_back('\x1f');
+    key.append(var);
+  }
+  key.push_back('\x1f');
+  key.append(EvalEngineName(ResolveEngine(options)));
+  key.push_back('\x1f');
+  key.append(options.missing_color_is_false ? "mcf1" : "mcf0");
+  return key;
+}
 
 int64_t PlanCache::EntryBytes(const std::string& key,
                               const CachedPlan& entry) {
@@ -108,7 +113,14 @@ void PlanCache::Trim(int64_t target_bytes) {
 CachedPlan PlanCache::GetOrCompile(const FormulaRef& formula,
                                    std::span<const std::string> free_var_order,
                                    const EvalOptions& options) {
-  std::string key = MakeKey(formula, free_var_order, options);
+  return *GetOrCompileSource(ToString(formula), free_var_order, options,
+                             [&]() -> StatusOr<FormulaRef> { return formula; });
+}
+
+StatusOr<CachedPlan> PlanCache::GetOrCompileSource(
+    std::string_view source, std::span<const std::string> free_var_order,
+    const EvalOptions& options, const SourceParser& parse) {
+  std::string key = MakeKey(source, free_var_order, options);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
@@ -118,12 +130,16 @@ CachedPlan PlanCache::GetOrCompile(const FormulaRef& formula,
     }
     ++misses_;
   }
+  // Parse only on a miss; a failed parse inserts nothing, so every entry
+  // stands for a source that parsed and validated against its frame.
+  StatusOr<FormulaRef> formula = parse();
+  if (!formula.ok()) return formula.status();
   // Compile (and for the VM engine, lower) outside the lock: plans can
   // take a while and the cache must not serialise unrelated requests
   // behind one compilation.
   CachedPlan entry;
   entry.plan = std::make_shared<const CompiledFormula>(
-      CompileFormula(formula, free_var_order));
+      CompileFormula(*formula, free_var_order));
   if (ResolveEngine(options) == EvalEngine::kVm) {
     const auto start = std::chrono::steady_clock::now();
     entry.bytecode = std::make_shared<const LoweredPlan>(LowerPlan(*entry.plan));

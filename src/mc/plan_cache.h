@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "fo/formula.h"
@@ -15,6 +17,7 @@
 #include "mc/compiler.h"
 #include "mc/evaluator.h"
 #include "util/mem_budget.h"
+#include "util/status.h"
 
 namespace folearn {
 
@@ -40,12 +43,17 @@ struct CachedPlan {
 // can safely keep warm globally; the per-graph state (memo tables, colour
 // classes) lives in each CompiledEvaluator/VmEvaluator instead.
 //
-// Keying: (printed formula, free-variable frame, engine kind,
-// eval-options fingerprint). Printing canonicalises structurally equal
-// formulas parsed from different requests; the frame is part of the key
-// because slot assignment depends on it; the engine and options
-// fingerprint keep tree-only and tree+bytecode entries from colliding or
-// double-counting their byte budgets when a server mixes engines.
+// Keying: (formula source text, free-variable frame, engine kind,
+// eval-options fingerprint). Keying by source lets a caller that holds the
+// text (the server's `evaluate` with a shipped model, `query` with a
+// sentence) find a warm plan without parsing the formula at all; the parse
+// runs only on a miss, and a failed parse inserts nothing. GetOrCompile
+// keys a parsed formula by its printed form, so a canonical text and its
+// parse share one entry. The frame is part of the key because slot
+// assignment depends on it (and because a source is validated against its
+// frame before its entry exists); the engine and options fingerprint keep
+// tree-only and tree+bytecode entries from colliding or double-counting
+// their byte budgets when a server mixes engines.
 //
 // Budgeting mirrors BallCache: `bytes() <= max_bytes` is a hard invariant
 // maintained by FIFO eviction, the accounting covers the plan's node and
@@ -77,7 +85,7 @@ class PlanCache {
   // tier drops the cache to a floor without destroying it).
   void Trim(int64_t target_bytes);
 
-  // Returns the cached artefacts for (formula, free_var_order,
+  // Returns the cached artefacts for (ToString(formula), free_var_order,
   // ResolveEngine(options), options fingerprint), compiling — and for the
   // VM engine lowering — on a miss (budget permitting). Safe to call from
   // any number of threads; compilation happens outside the lock, so two
@@ -86,6 +94,18 @@ class PlanCache {
   CachedPlan GetOrCompile(const FormulaRef& formula,
                           std::span<const std::string> free_var_order,
                           const EvalOptions& options);
+
+  // Produces the formula behind a source text; called only on a miss. It
+  // must also validate the formula against the frame (free variables): a
+  // hit skips it, so an entry may exist only for sources that passed.
+  using SourceParser = std::function<StatusOr<FormulaRef>()>;
+
+  // GetOrCompile keyed by the formula's source text instead of its printed
+  // form: a hit costs one key build and lookup, no parse. On a miss runs
+  // `parse`; its error is returned as is and nothing is inserted.
+  StatusOr<CachedPlan> GetOrCompileSource(
+      std::string_view source, std::span<const std::string> free_var_order,
+      const EvalOptions& options, const SourceParser& parse);
 
   // Diagnostics (snapshot under the lock).
   int64_t hits() const;
@@ -97,6 +117,11 @@ class PlanCache {
   int64_t bytes() const;
   int64_t entries() const;
   int64_t max_bytes() const { return max_bytes_; }
+
+  // The cache key of a source text in a frame under `options`.
+  static std::string MakeKey(std::string_view source,
+                             std::span<const std::string> free_var_order,
+                             const EvalOptions& options);
 
   // Full footprint of one cache entry: plan payload + bytecode payload (if
   // any) + key string + map and FIFO bookkeeping. Exposed for tests

@@ -201,7 +201,8 @@ int64_t ApproxRecordBytes(const SessionRecord& record) {
 
 // Per-session state kept warm across requests. All fields are guarded by
 // `mu` — requests touching one session serialise; different sessions run
-// in parallel.
+// in parallel. The exception is `graph`, which is never modified after
+// construction and may be read without the lock.
 struct Server::Session {
   // Declared first so it is destroyed last: registry and ball_cache
   // release their charges through this child budget on the way down, and
@@ -228,11 +229,12 @@ struct Server::Session {
   std::shared_ptr<TypeRegistry> registry;
   BallCache ball_cache;
 
-  // Registered model handles. `parsed` is filled lazily after a re-warm;
-  // on the learn path the already-built hypothesis is stored directly.
+  // Registered model handles. On the learn path the already-built formula
+  // is stored with the text; after a re-warm `formula` stays null until a
+  // plan-cache miss needs it parsed (a hit by source text never does).
   struct ModelEntry {
     std::string text;
-    std::optional<Hypothesis> parsed;
+    FormulaRef formula;
     // Per-model evaluation telemetry, surfaced by get-model. Wall-clock
     // only: attaching an EvalStats sink would route the hot path through
     // the engines' slow counting lane.
@@ -1203,7 +1205,7 @@ Message Server::HandleLearn(const Message& request) {
       session.next_model_id = model_id + 1;
       session.models.emplace(
           model_id,
-          Session::ModelEntry{model_text, std::move(hypothesis)});
+          Session::ModelEntry{model_text, std::move(hypothesis.formula)});
       BumpStat(&ServerStats::models_registered);
     }
     if (new_dedup_entry) {
@@ -1256,7 +1258,29 @@ bool ParseTupleField(const std::string& text, std::vector<Vertex>* tuple,
   return true;
 }
 
+// A registered model whose text no longer splits or parses: the journal
+// (or the learner that wrote it) is at fault, not the request.
+Message JournaledModelError(uint64_t model_id, const Status& status) {
+  return MakeErrorFromStatus(DataLossError("journaled model " +
+                                           std::to_string(model_id) +
+                                           " does not parse: " +
+                                           status.message()));
+}
+
 }  // namespace
+
+StatusOr<CachedPlan> Server::ResolveModelPlan(
+    const HypothesisHeader& header, std::span<const std::string> frame,
+    const EvalOptions& options, FormulaRef* known) {
+  return plan_cache_.GetOrCompileSource(
+      header.formula, frame, options, [&]() -> StatusOr<FormulaRef> {
+        if (known != nullptr && *known != nullptr) return *known;
+        BumpStat(&ServerStats::model_parses);
+        StatusOr<FormulaRef> parsed = ParseHypothesisFormula(header);
+        if (parsed.ok() && known != nullptr) *known = *parsed;
+        return parsed;
+      });
+}
 
 Message Server::HandleEvaluate(const Message& request) {
   uint64_t id = 0;
@@ -1289,50 +1313,42 @@ Message Server::HandleEvaluate(const Message& request) {
     return MakeError(kExitUsage, field_error);
   }
 
-  std::lock_guard<std::mutex> session_lock(session.mu);
+  // The graph is immutable once the session exists, so everything up to
+  // plan resolution runs outside the session lock for a shipped model
+  // text, the way HandleQuery treats a sentence. A handle's text is read
+  // under the lock: a concurrent learn may compact the handle away.
   const Graph& graph = session.graph;
   Status tuples_ok = ValidateTuples(graph, *data);
   if (!tuples_ok.ok()) return MakeErrorFromStatus(tuples_ok);
-
-  // Resolve the hypothesis: the handle path reuses the registered,
-  // already-parsed model (the parse is the cost the handle eliminates);
-  // the text path parses per request, exactly as the CLI would.
-  std::optional<Hypothesis> parsed_from_text;
-  const Hypothesis* hypothesis = nullptr;
+  std::unique_lock<std::mutex> session_lock(session.mu, std::defer_lock);
   Session::ModelEntry* model_entry = nullptr;
   if (by_handle) {
+    session_lock.lock();
     auto it = session.models.find(model_id);
     if (it == session.models.end()) {
       return MakeError(kExitUsage, "unknown model-id " +
                                        std::to_string(model_id) +
                                        " in session " + std::to_string(id));
     }
-    if (!it->second.parsed.has_value()) {
-      // First use after a re-warm: parse the journaled text once.
-      StatusOr<Hypothesis> reparsed = ParseHypothesis(it->second.text);
-      if (!reparsed.ok()) {
-        return MakeErrorFromStatus(DataLossError(
-            "journaled model " + std::to_string(model_id) +
-            " does not parse: " + reparsed.status().message()));
-      }
-      it->second.parsed = *std::move(reparsed);
-    }
-    hypothesis = &*it->second.parsed;
     model_entry = &it->second;
-  } else {
-    StatusOr<Hypothesis> from_text = ParseHypothesis(*model_text);
-    if (!from_text.ok()) return MakeErrorFromStatus(from_text.status());
-    parsed_from_text = *std::move(from_text);
-    hypothesis = &*parsed_from_text;
   }
-  for (Vertex w : hypothesis->parameters) {
+  // Both paths split the header on every request (parameters and arity
+  // are checked against it each time) and resolve the plan by the formula
+  // line's source text: a cache hit never parses the formula.
+  StatusOr<HypothesisHeader> header =
+      SplitHypothesisText(by_handle ? model_entry->text : *model_text);
+  if (!header.ok()) {
+    return by_handle ? JournaledModelError(model_id, header.status())
+                     : MakeErrorFromStatus(header.status());
+  }
+  for (Vertex w : header->parameters) {
     if (!graph.IsValidVertex(w)) {
       return MakeErrorFromStatus(DataLossError(
           "model parameter vertex " + std::to_string(w) +
           " outside the session graph"));
     }
   }
-  const int k = hypothesis->k();
+  const int k = header->k;
   for (const LabeledExample& example : *data) {
     if (static_cast<int>(example.tuple.size()) != k) {
       return MakeErrorFromStatus(DataLossError(
@@ -1341,12 +1357,19 @@ Message Server::HandleEvaluate(const Message& request) {
     }
   }
 
-  const std::vector<std::string> frame = hypothesis->AllVars();
+  const std::vector<std::string> frame = header->AllVars();
   EvalOptions eval_options;
   eval_options.missing_color_is_false = true;  // external model files
   eval_options.engine = options_.eval_engine;
-  const CachedPlan cached =
-      plan_cache_.GetOrCompile(hypothesis->formula, frame, eval_options);
+  StatusOr<CachedPlan> resolved = ResolveModelPlan(
+      *header, frame, eval_options,
+      by_handle ? &model_entry->formula : nullptr);
+  if (!resolved.ok()) {
+    return by_handle ? JournaledModelError(model_id, resolved.status())
+                     : MakeErrorFromStatus(resolved.status());
+  }
+  const CachedPlan& cached = *resolved;
+  if (!session_lock.owns_lock()) session_lock.lock();
 
   std::optional<ResourceGovernor> governor;
   if (governed) {
@@ -1371,7 +1394,7 @@ Message Server::HandleEvaluate(const Message& request) {
   const auto exec_start = std::chrono::steady_clock::now();
   for (const LabeledExample& example : *data) {
     std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
-    std::copy(hypothesis->parameters.begin(), hypothesis->parameters.end(),
+    std::copy(header->parameters.begin(), header->parameters.end(),
               env.begin() + k);
     bool verdict = evaluator->Eval(env);
     if (governor.has_value() && governor->Interrupted()) break;
@@ -1450,21 +1473,12 @@ Message Server::HandleQuery(const Message& request) {
                                        std::to_string(model_id) +
                                        " in session " + std::to_string(id));
     }
-    if (!it->second.parsed.has_value()) {
-      StatusOr<Hypothesis> reparsed = ParseHypothesis(it->second.text);
-      if (!reparsed.ok()) {
-        return MakeErrorFromStatus(DataLossError(
-            "journaled model " + std::to_string(model_id) +
-            " does not parse: " + reparsed.status().message()));
-      }
-      it->second.parsed = *std::move(reparsed);
-    }
-    const Hypothesis& hypothesis = *it->second.parsed;
-    if (static_cast<int>(tuple.size()) != hypothesis.k()) {
+    StatusOr<HypothesisHeader> header = SplitHypothesisText(it->second.text);
+    if (!header.ok()) return JournaledModelError(model_id, header.status());
+    if (static_cast<int>(tuple.size()) != header->k) {
       return MakeErrorFromStatus(DataLossError(
           "tuple arity " + std::to_string(tuple.size()) +
-          " does not match the model's k=" +
-          std::to_string(hypothesis.k())));
+          " does not match the model's k=" + std::to_string(header->k)));
     }
     for (Vertex v : tuple) {
       if (!session.graph.IsValidVertex(v)) {
@@ -1473,7 +1487,7 @@ Message Server::HandleQuery(const Message& request) {
             " outside the session graph"));
       }
     }
-    for (Vertex w : hypothesis.parameters) {
+    for (Vertex w : header->parameters) {
       if (!session.graph.IsValidVertex(w)) {
         return MakeErrorFromStatus(DataLossError(
             "model parameter vertex " + std::to_string(w) +
@@ -1483,11 +1497,13 @@ Message Server::HandleQuery(const Message& request) {
     EvalOptions eval_options;
     eval_options.missing_color_is_false = true;
     eval_options.engine = options_.eval_engine;
-    const CachedPlan cached = plan_cache_.GetOrCompile(
-        hypothesis.formula, hypothesis.AllVars(), eval_options);
+    StatusOr<CachedPlan> resolved = ResolveModelPlan(
+        *header, header->AllVars(), eval_options, &it->second.formula);
+    if (!resolved.ok()) return JournaledModelError(model_id, resolved.status());
+    const CachedPlan& cached = *resolved;
     env = std::move(tuple);
-    env.insert(env.end(), hypothesis.parameters.begin(),
-               hypothesis.parameters.end());
+    env.insert(env.end(), header->parameters.begin(),
+               header->parameters.end());
     std::optional<ResourceGovernor> governor;
     if (governed) {
       governor.emplace(limits);
@@ -1529,24 +1545,33 @@ Message Server::HandleQuery(const Message& request) {
     return response;
   }
 
-  std::string parse_error;
-  std::optional<FormulaRef> sentence =
-      ParseFormula(*sentence_text, &parse_error);
-  if (!sentence.has_value()) {
-    return MakeError(kExitDataError, "cannot parse sentence: " + parse_error);
-  }
-  if (!(*sentence)->free_variables().empty()) {
-    return MakeError(kExitDataError,
-                     "query requires a sentence; '" +
-                         (*sentence)->free_variables().front() +
-                         "' occurs free");
-  }
-
+  // Keyed by the sentence text: a repeated sentence is a plan-cache hit
+  // without a parse. The closed-sentence check runs with the parse, before
+  // any entry exists, so a hit implies it passed.
   EvalOptions eval_options;
   eval_options.missing_color_is_false = true;
   eval_options.engine = options_.eval_engine;
-  const CachedPlan cached =
-      plan_cache_.GetOrCompile(*sentence, {}, eval_options);
+  StatusOr<CachedPlan> resolved = plan_cache_.GetOrCompileSource(
+      *sentence_text, {}, eval_options, [&]() -> StatusOr<FormulaRef> {
+        BumpStat(&ServerStats::model_parses);
+        std::string parse_error;
+        std::optional<FormulaRef> sentence =
+            ParseFormula(*sentence_text, &parse_error);
+        if (!sentence.has_value()) {
+          return InvalidArgumentError("cannot parse sentence: " +
+                                      parse_error);
+        }
+        if (!(*sentence)->free_variables().empty()) {
+          return InvalidArgumentError("query requires a sentence; '" +
+                                      (*sentence)->free_variables().front() +
+                                      "' occurs free");
+        }
+        return *std::move(sentence);
+      });
+  if (!resolved.ok()) {
+    return MakeError(kExitDataError, resolved.status().message());
+  }
+  const CachedPlan& cached = *resolved;
 
   std::lock_guard<std::mutex> session_lock(session.mu);
   std::optional<ResourceGovernor> governor;
@@ -1663,6 +1688,7 @@ Message Server::HandleStats(const Message& request) {
   response.Set("durable", store_.enabled() ? "1" : "0");
   response.Set("plan-hits", std::to_string(stats.plan_hits));
   response.Set("plan-misses", std::to_string(stats.plan_misses));
+  response.Set("model-parses", std::to_string(stats.model_parses));
   response.Set("plan-bytes", std::to_string(plan_cache_.bytes()));
   response.Set("inflight", std::to_string(stats.inflight));
   response.Set("eval-engine", EvalEngineName(options_.eval_engine));

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,6 +19,8 @@
 #include "util/status.h"
 
 namespace folearn {
+
+struct HypothesisHeader;
 
 // folearnd: a long-lived learn/evaluate/query server.
 //
@@ -175,6 +178,7 @@ struct ServerStats {
   int64_t journal_writes = 0;      // SessionStore counter at snapshot time
   int64_t plan_hits = 0;           // PlanCache hits/misses at snapshot time
   int64_t plan_misses = 0;
+  int64_t model_parses = 0;        // formula parses run on request paths
   int64_t inflight = 0;            // gauge: substantive requests in flight
   // Memory governance.
   int64_t mem_shed = 0;            // requests shed for memory pressure
@@ -244,6 +248,16 @@ class Server {
   Message HandleGetModel(const Message& request);
   Message HandleListModels(const Message& request);
   Message HandleStats(const Message& request);
+
+  // The plan for a hypothesis, looked up by its formula's source text
+  // (header.formula) in `frame`: a hit parses nothing. On a miss the
+  // formula comes from *known when that is set (a learned handle) and is
+  // otherwise parsed and validated, counted in model-parses, and stored in
+  // *known for a handle. `known` is null for a shipped model text.
+  StatusOr<CachedPlan> ResolveModelPlan(const HypothesisHeader& header,
+                                        std::span<const std::string> frame,
+                                        const EvalOptions& options,
+                                        FormulaRef* known);
 
   // Resolves a session id to its warm state, lazily re-warming a cold
   // journaled slot (parse graph, reinstall models and dedup window).

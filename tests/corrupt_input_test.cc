@@ -108,6 +108,27 @@ TEST(CorruptInput, ModelLoaderNeverAborts) {
   });
 }
 
+// Numbers past the 32-bit range in a model or training set are parse
+// errors: a counting threshold must not throw out of the parser, and a
+// vertex id must not wrap into a different, valid-looking vertex.
+TEST(CorruptInput, OutOfRangeNumbersAreParseErrors) {
+  for (const char* text :
+       {"hypothesis k 1 ell 0\nformula exists>=99999999999 x. Red(x)\n",
+        "hypothesis k 1 ell 1\nparams 99999999999\nformula Red(x1)\n",
+        "hypothesis k 4294967297 ell 0\nformula Red(x1)\n"}) {
+    StatusOr<Hypothesis> hypothesis = ParseHypothesis(text);
+    ASSERT_FALSE(hypothesis.ok()) << text;
+    EXPECT_EQ(hypothesis.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (const char* text : {"examples 1\n+ 4294967297\n",
+                           "examples 1\n- 2147483648\n",
+                           "examples 99999999999\n"}) {
+    StatusOr<TrainingSet> data = ParseTrainingSet(text);
+    ASSERT_FALSE(data.ok()) << text;
+    EXPECT_EQ(data.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(CorruptInput, TrainingSetLoaderNeverAborts) {
   ExhaustivelyMangle(ValidDataText(), [](const std::string& bytes) {
     StatusOr<TrainingSet> data = ParseTrainingSet(bytes);

@@ -96,6 +96,16 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_FALSE(ParseFormula("exists E. E(x, y)", &error).has_value());
 }
 
+TEST(Parser, CountingThresholdBeyondIntIsAParseError) {
+  std::string error;
+  EXPECT_FALSE(
+      ParseFormula("exists>=99999999999 x. Red(x)", &error).has_value());
+  EXPECT_NE(error.find("threshold"), std::string::npos) << error;
+  EXPECT_FALSE(
+      ParseFormula("exists>=2147483648 x. Red(x)", &error).has_value());
+  EXPECT_TRUE(ParseFormula("exists>=2147483647 x. Red(x)").has_value());
+}
+
 TEST(Transform, RenameFreeVariablesSimple) {
   FormulaRef f = MustParseFormula("E(x, y) & Red(x)");
   FormulaRef renamed = RenameFreeVariables(f, {{"x", "u"}, {"y", "v"}});

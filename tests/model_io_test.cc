@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fo/parser.h"
+#include "fo/printer.h"
 #include "graph/generators.h"
 #include "learn/erm.h"
 #include "learn/model_io.h"
@@ -36,6 +37,78 @@ TEST(TrainingSetIo, RejectsMalformedInput) {
   EXPECT_FALSE(TrainingSetFromText("examples 1\n? 1", &error).has_value());
   EXPECT_FALSE(TrainingSetFromText("examples 1\n+ x", &error).has_value());
   EXPECT_FALSE(TrainingSetFromText("", &error).has_value());
+}
+
+TEST(TrainingSetIo, RejectsVerticesBeyondTheVertexRange) {
+  std::string error;
+  EXPECT_FALSE(TrainingSetFromText("examples 1\n+ 4294967297\n", &error)
+                   .has_value());
+  EXPECT_EQ(error, "bad vertex: 4294967297");
+  EXPECT_FALSE(TrainingSetFromText("examples 1\n+ 2147483648\n", &error)
+                   .has_value());
+  std::optional<TrainingSet> largest =
+      TrainingSetFromText("examples 1\n+ 2147483647\n", &error);
+  ASSERT_TRUE(largest.has_value()) << error;
+  EXPECT_EQ((*largest)[0].tuple[0], Vertex{2147483647});
+}
+
+TEST(HypothesisIo, RejectsParametersBeyondTheVertexRange) {
+  std::string error;
+  EXPECT_FALSE(HypothesisFromText(
+                   "hypothesis k 1 ell 1\nparams 99999999999\n"
+                   "formula Red(x1)\n",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "bad parameter vertex: 99999999999");
+  EXPECT_FALSE(HypothesisFromText(
+                   "hypothesis k 1 ell 1\nparams 2147483648\n"
+                   "formula Red(x1)\n",
+                   &error)
+                   .has_value());
+}
+
+TEST(HypothesisIo, SplitViewsTheCanonicalFormulaLine) {
+  Hypothesis h;
+  h.formula = MustParseFormula("exists z. (E(x1, z) & Red(y1))");
+  h.query_vars = QueryVars(1);
+  h.param_vars = ParamVars(1);
+  h.parameters = {3};
+  const std::string text = HypothesisToText(h);
+  StatusOr<HypothesisHeader> header = SplitHypothesisText(text);
+  ASSERT_TRUE(header.ok()) << header.status().message();
+  EXPECT_EQ(header->k, 1);
+  EXPECT_EQ(header->ell, 1);
+  EXPECT_EQ(header->parameters, h.parameters);
+  EXPECT_EQ(header->AllVars(), h.AllVars());
+  // The plan-cache key of a written model is its printed formula.
+  EXPECT_EQ(header->formula, ToString(h.formula));
+  StatusOr<FormulaRef> formula = ParseHypothesisFormula(*header);
+  ASSERT_TRUE(formula.ok());
+  EXPECT_EQ(ToString(*formula), ToString(h.formula));
+}
+
+TEST(HypothesisIo, SplitAndFullParseReportIdenticalHeaderErrors) {
+  for (const char* text :
+       {"formula Red(x1)", "hypothesis k 1 ell 0",
+        "hypothesis k 1 ell 1\nformula Red(x1)",
+        "hypothesis k one ell 0\nformula Red(x1)",
+        "hypothesis k 1 ell 0\nparams x\nformula Red(x1)",
+        "hypothesis k 1 ell 0\nlabel 3\nformula Red(x1)",
+        "hypothesis k 1 ell 0\nformula Red(x1)\nformula Red(x1)"}) {
+    StatusOr<HypothesisHeader> header = SplitHypothesisText(text);
+    ASSERT_FALSE(header.ok()) << text;
+    std::string error;
+    EXPECT_FALSE(HypothesisFromText(text, &error).has_value()) << text;
+    EXPECT_EQ(error, header.status().message()) << text;
+  }
+  // Formula errors surface only from the parse step.
+  StatusOr<HypothesisHeader> header =
+      SplitHypothesisText("hypothesis k 1 ell 0\nformula Red(zz)");
+  ASSERT_TRUE(header.ok());
+  StatusOr<FormulaRef> formula = ParseHypothesisFormula(*header);
+  ASSERT_FALSE(formula.ok());
+  EXPECT_EQ(formula.status().message(),
+            "formula uses unknown free variable 'zz'");
 }
 
 TEST(HypothesisIo, RoundTripWithParameters) {

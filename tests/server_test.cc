@@ -29,6 +29,7 @@
 #include "learn/model_io.h"
 #include "mc/plan_cache.h"
 #include "fo/parser.h"
+#include "fo/printer.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -220,6 +221,136 @@ TEST(PlanCacheTest, OversizePlanServedUncached) {
   EXPECT_EQ(cache.entries(), 0);
   EXPECT_EQ(cache.bytes(), 0);
   EXPECT_EQ(cache.oversize_misses(), 1);
+}
+
+// A parse callback for GetOrCompileSource that counts its calls.
+PlanCache::SourceParser CountingParser(std::string text, int* calls) {
+  return [text = std::move(text), calls]() -> StatusOr<FormulaRef> {
+    ++*calls;
+    return MustParseFormula(text);
+  };
+}
+
+TEST(PlanCacheTest, SourceParseRunsOncePerKey) {
+  PlanCache cache;
+  const std::string source =
+      ToString(MustParseFormula("exists y. (E(x1, y) & Red(y))"));
+  const std::vector<std::string> frame = {"x1"};
+  int calls = 0;
+  StatusOr<CachedPlan> first = cache.GetOrCompileSource(
+      source, frame, EvalOptions{}, CountingParser(source, &calls));
+  ASSERT_TRUE(first.ok());
+  for (int rep = 0; rep < 3; ++rep) {
+    StatusOr<CachedPlan> again = cache.GetOrCompileSource(
+        source, frame, EvalOptions{}, CountingParser(source, &calls));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->plan.get(), first->plan.get());
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 3);
+  // A canonical text and its parsed formula share one entry.
+  CachedPlan by_formula =
+      cache.GetOrCompile(MustParseFormula(source), frame, EvalOptions{});
+  EXPECT_EQ(by_formula.plan.get(), first->plan.get());
+  EXPECT_EQ(cache.entries(), 1);
+}
+
+TEST(PlanCacheTest, FailedSourceParseInsertsNothing) {
+  PlanCache cache;
+  int calls = 0;
+  auto failing = [&calls]() -> StatusOr<FormulaRef> {
+    ++calls;
+    return InvalidArgumentError("formula parse error: expected ')'");
+  };
+  for (int rep = 0; rep < 2; ++rep) {
+    StatusOr<CachedPlan> entry =
+        cache.GetOrCompileSource("Red(x1", {}, EvalOptions{}, failing);
+    ASSERT_FALSE(entry.ok());
+    EXPECT_EQ(entry.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(entry.status().message(), "formula parse error: expected ')'");
+  }
+  // Nothing was cached, so the second request parsed (and failed) again.
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
+  EXPECT_EQ(cache.hits(), 0);
+}
+
+TEST(PlanCacheTest, SourceKeyCoversFrameAndEngine) {
+  PlanCache cache;
+  const std::string source = "E(x1, x1)";
+  int calls = 0;
+  const std::vector<std::string> narrow = {"x1"};
+  const std::vector<std::string> wide = {"x1", "y1"};
+  EvalOptions vm;
+  vm.engine = EvalEngine::kVm;
+  EvalOptions tree;
+  tree.engine = EvalEngine::kCompiled;
+  ASSERT_TRUE(cache.GetOrCompileSource(source, narrow, vm,
+                                       CountingParser(source, &calls))
+                  .ok());
+  ASSERT_TRUE(cache.GetOrCompileSource(source, wide, vm,
+                                       CountingParser(source, &calls))
+                  .ok());
+  ASSERT_TRUE(cache.GetOrCompileSource(source, narrow, tree,
+                                       CountingParser(source, &calls))
+                  .ok());
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(cache.entries(), 3);
+  EXPECT_EQ(cache.hits(), 0);
+  // A source that embeds the key's separators cannot impersonate another
+  // source in a different frame: "E(x1, x1)" + US + "x1" in the empty
+  // frame must not hit "E(x1, x1)" in the frame (x1).
+  const std::string forged = source + "\x1f" + "x1";
+  int forged_calls = 0;
+  StatusOr<CachedPlan> entry = cache.GetOrCompileSource(
+      forged, {}, vm, [&]() -> StatusOr<FormulaRef> {
+        ++forged_calls;
+        return InvalidArgumentError("formula parse error");
+      });
+  EXPECT_FALSE(entry.ok());
+  EXPECT_EQ(forged_calls, 1);
+  EXPECT_EQ(cache.hits(), 0);
+}
+
+TEST(PlanCacheTest, SourceKeyedEntriesKeepTheByteBudget) {
+  // One source-keyed entry is billed exactly EntryBytes of its key, and
+  // the key carries the whole source text.
+  {
+    PlanCache cache;
+    const std::string source = "exists y. (E(x1, y) & Red(y))";
+    const std::vector<std::string> frame = {"x1"};
+    int calls = 0;
+    StatusOr<CachedPlan> entry = cache.GetOrCompileSource(
+        source, frame, EvalOptions{}, CountingParser(source, &calls));
+    ASSERT_TRUE(entry.ok());
+    const std::string key =
+        PlanCache::MakeKey(source, frame, EvalOptions{});
+    EXPECT_NE(key.find(source), std::string::npos);
+    EXPECT_EQ(cache.bytes(), PlanCache::EntryBytes(key, *entry));
+  }
+  PlanCache cache(/*max_bytes=*/16 * 1024);
+  int calls = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::string source = "exists x. exists y" + std::to_string(i) +
+                               ". E(x, y" + std::to_string(i) + ")";
+    ASSERT_TRUE(cache.GetOrCompileSource(source, {}, EvalOptions{},
+                                         CountingParser(source, &calls))
+                    .ok());
+    ASSERT_LE(cache.bytes(), cache.max_bytes());
+  }
+  EXPECT_EQ(calls, 200);
+  EXPECT_GT(cache.evictions(), 0);
+  // An entry too large for the budget is served but never cached.
+  PlanCache tiny(/*max_bytes=*/1);
+  StatusOr<CachedPlan> oversize = tiny.GetOrCompileSource(
+      "E(x1, x1)", std::vector<std::string>{"x1"}, EvalOptions{},
+      CountingParser("E(x1, x1)", &calls));
+  ASSERT_TRUE(oversize.ok());
+  EXPECT_NE(oversize->plan, nullptr);
+  EXPECT_EQ(tiny.entries(), 0);
+  EXPECT_EQ(tiny.oversize_misses(), 1);
 }
 
 TEST_F(ServerTest, PingRoundTrip) {
@@ -581,6 +712,210 @@ TEST_F(ServerTest, MalformedInputsGetSysexitsStyleCodes) {
   response = client.Call(open_query);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(ResponseExitCode(*response), 65);
+}
+
+// A counting threshold past the int range must come back as a data error
+// from both text-carrying ops, and the daemon must keep serving.
+TEST_F(ServerTest, HugeCountingThresholdIsADataError) {
+  StartServer(ServerOptions{});
+  TestProblem problem = MakeProblem(10, 21);
+  Client client = MustConnect();
+  StatusOr<uint64_t> session = client.LoadGraph(problem.graph_text);
+  ASSERT_TRUE(session.ok());
+  Message query;
+  query.Set("op", "query");
+  query.Set("session", std::to_string(*session));
+  query.Set("sentence", "exists>=99999999999 x. Red(x)");
+  StatusOr<Message> response = client.Call(query);
+  ASSERT_TRUE(response.ok()) << response.status().message();
+  EXPECT_EQ(response->Get("status"), kStatusError);
+  EXPECT_EQ(ResponseExitCode(*response), 65);
+  Message evaluate;
+  evaluate.Set("op", "evaluate");
+  evaluate.Set("session", std::to_string(*session));
+  evaluate.Set("model",
+               "hypothesis k 1 ell 0\n"
+               "formula exists>=99999999999 x. Red(x)\n");
+  evaluate.Set("data", "examples 1\n+ 0\n");
+  response = client.Call(evaluate);
+  ASSERT_TRUE(response.ok()) << response.status().message();
+  EXPECT_EQ(response->Get("status"), kStatusError);
+  EXPECT_EQ(ResponseExitCode(*response), 65);
+  // A vertex id past 32 bits is refused, not wrapped onto vertex 1.
+  evaluate.Set("model", "hypothesis k 1 ell 0\nformula Red(x1)\n");
+  evaluate.Set("data", "examples 1\n+ 4294967297\n");
+  response = client.Call(evaluate);
+  ASSERT_TRUE(response.ok()) << response.status().message();
+  EXPECT_EQ(ResponseExitCode(*response), 65);
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+// The plan cache is keyed by formula source text, so a repeated text
+// evaluate (or a text evaluate of a learned handle's model) parses
+// nothing; a malformed or mis-framed text never gets an entry and is
+// rejected the same way every time.
+TEST_F(ServerTest, RepeatedTextEvaluateParsesTheModelOnce) {
+  StartServer(ServerOptions{});
+  TestProblem problem = MakeProblem(30, 47);
+  Client client = MustConnect();
+  StatusOr<uint64_t> session = client.LoadGraph(problem.graph_text);
+  ASSERT_TRUE(session.ok());
+  auto model_parses = [&]() -> int64_t {
+    Message stats;
+    stats.Set("op", "stats");
+    StatusOr<Message> observed = client.Call(stats);
+    EXPECT_TRUE(observed.ok());
+    return std::stoll(observed->Get("model-parses", "-1"));
+  };
+  auto evaluate = [&](const std::string& field, const std::string& value,
+                      const std::string& data) {
+    Message request;
+    request.Set("op", "evaluate");
+    request.Set("session", std::to_string(*session));
+    request.Set(field, value);
+    request.Set("data", data);
+    StatusOr<Message> response = client.Call(request);
+    EXPECT_TRUE(response.ok());
+    return *response;
+  };
+  EXPECT_EQ(model_parses(), 0);
+
+  // A learned handle carries its formula: no parse by handle, and the
+  // same text shipped in full hits the handle's plan.
+  Message learn;
+  learn.Set("op", "learn");
+  learn.Set("session", std::to_string(*session));
+  learn.Set("data", problem.data_text);
+  learn.Set("rank", "1");
+  learn.Set("radius", "1");
+  StatusOr<Message> learned = client.Call(learn);
+  ASSERT_TRUE(learned.ok());
+  ASSERT_EQ(learned->Get("status"), kStatusOk) << learned->Get("error");
+  Message by_handle =
+      evaluate("model-id", learned->Get("model-id"), problem.data_text);
+  ASSERT_EQ(by_handle.Get("status"), kStatusOk) << by_handle.Get("error");
+  Message by_text = evaluate("model", learned->Get("model"), problem.data_text);
+  ASSERT_EQ(by_text.Get("status"), kStatusOk) << by_text.Get("error");
+  EXPECT_EQ(by_text.Get("error"), by_handle.Get("error"));
+  EXPECT_EQ(model_parses(), 0);
+
+  // A new text parses on its first request only.
+  const std::string model =
+      "hypothesis k 1 ell 1\nparams 0\nformula Red(x1) | E(x1, y1)\n";
+  const int64_t plan_hits_before = server_->Snapshot().plan_hits;
+  Message first = evaluate("model", model, problem.data_text);
+  ASSERT_EQ(first.Get("status"), kStatusOk) << first.Get("error");
+  EXPECT_EQ(model_parses(), 1);
+  for (int rep = 0; rep < 4; ++rep) {
+    Message again = evaluate("model", model, problem.data_text);
+    ASSERT_EQ(again.Get("status"), kStatusOk) << again.Get("error");
+    EXPECT_EQ(again.Get("error"), first.Get("error"));
+  }
+  EXPECT_EQ(model_parses(), 1);
+  EXPECT_EQ(server_->Snapshot().plan_hits, plan_hits_before + 4);
+  // Parameters and arity are still checked on every (cached) request.
+  Message bad_param = evaluate(
+      "model", "hypothesis k 1 ell 1\nparams 999\nformula Red(x1) | E(x1, y1)\n",
+      problem.data_text);
+  EXPECT_EQ(ResponseExitCode(bad_param), 65);
+  Message bad_arity = evaluate("model", model, "examples 2\n+ 0 1\n");
+  EXPECT_EQ(ResponseExitCode(bad_arity), 65);
+
+  // A malformed text is rejected identically every time, and since it
+  // never gets an entry each request parses it again.
+  const std::string malformed = "hypothesis k 1 ell 0\nformula Red(x1\n";
+  Message rejected = evaluate("model", malformed, problem.data_text);
+  EXPECT_EQ(rejected.Get("status"), kStatusError);
+  EXPECT_EQ(ResponseExitCode(rejected), 65);
+  const int64_t parses = model_parses();
+  for (int rep = 0; rep < 3; ++rep) {
+    Message again = evaluate("model", malformed, problem.data_text);
+    EXPECT_EQ(again.Get("status"), rejected.Get("status"));
+    EXPECT_EQ(again.Get("code"), rejected.Get("code"));
+    EXPECT_EQ(again.Get("error"), rejected.Get("error"));
+  }
+  EXPECT_EQ(model_parses(), parses + 3);
+
+  // The formula line "Red(x1) | E(x1, y1)" is cached in the frame
+  // (x1, y1); sent without the parameter, y1 falls outside its own frame
+  // (x1) and the text is still refused.
+  Message narrow = evaluate(
+      "model", "hypothesis k 1 ell 0\nformula Red(x1) | E(x1, y1)\n",
+      problem.data_text);
+  EXPECT_EQ(narrow.Get("status"), kStatusError);
+  EXPECT_EQ(ResponseExitCode(narrow), 65);
+  EXPECT_NE(narrow.Get("error").find("unknown free variable 'y1'"),
+            std::string::npos)
+      << narrow.Get("error");
+
+  // By-text query sentences are keyed the same way.
+  const int64_t before_queries = model_parses();
+  for (int rep = 0; rep < 3; ++rep) {
+    Message query;
+    query.Set("op", "query");
+    query.Set("session", std::to_string(*session));
+    query.Set("sentence", "exists x. Red(x)");
+    StatusOr<Message> answered = client.Call(query);
+    ASSERT_TRUE(answered.ok());
+    EXPECT_EQ(answered->Get("result"), "true");
+  }
+  EXPECT_EQ(model_parses(), before_queries + 1);
+}
+
+// Text evaluates resolve their plan outside the session lock: several
+// clients evaluating one shipped model on one session while another learns
+// there must all get the same answer (the TSan job runs this).
+TEST_F(ServerTest, ConcurrentTextEvaluatesOnOneSessionAgree) {
+  StartServer(ServerOptions{});
+  TestProblem problem = MakeProblem(30, 53);
+  Client setup = MustConnect();
+  StatusOr<uint64_t> session = setup.LoadGraph(problem.graph_text);
+  ASSERT_TRUE(session.ok());
+  Message evaluate;
+  evaluate.Set("op", "evaluate");
+  evaluate.Set("session", std::to_string(*session));
+  evaluate.Set("model",
+               "hypothesis k 1 ell 1\nparams 2\n"
+               "formula Red(x1) | exists z. (E(x1, z) & E(z, y1))\n");
+  evaluate.Set("data", problem.data_text);
+  StatusOr<Message> expected = setup.Call(evaluate);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->Get("status"), kStatusOk) << expected->Get("error");
+  // A fresh source text, so the racing clients also race on the miss.
+  evaluate.Set("model",
+               "hypothesis k 1 ell 1\nparams 2\n"
+               "formula (Red(x1) | exists z. (E(x1, z) & E(z, y1)))\n");
+
+  std::vector<std::string> failures(4);
+  std::vector<std::thread> workers;
+  for (int c = 0; c < 4; ++c) {
+    workers.emplace_back([&, c] {
+      StatusOr<Client> client = Client::Connect(server_->socket_path());
+      if (!client.ok()) {
+        failures[c] = "connect failed";
+        return;
+      }
+      Message learn;
+      learn.Set("op", "learn");
+      learn.Set("session", std::to_string(*session));
+      learn.Set("data", problem.data_text);
+      learn.Set("rank", "1");
+      learn.Set("radius", "1");
+      for (int rep = 0; rep < 10; ++rep) {
+        StatusOr<Message> response = client->Call(c == 0 ? learn : evaluate);
+        if (!response.ok() || response->Get("status") != kStatusOk) {
+          failures[c] = "request failed in rep " + std::to_string(rep);
+          return;
+        }
+        if (c != 0 && response->Get("error") != expected->Get("error")) {
+          failures[c] = "verdict mismatch in rep " + std::to_string(rep);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int c = 0; c < 4; ++c) EXPECT_EQ(failures[c], "") << "client " << c;
 }
 
 TEST(ProtocolTest, SocketPathValidation) {
