@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
               "(noisy rank-1 target, rank-2 slice, k=1, ℓ=0)\n\n");
 
   Table table({"n", "types err", "types seen", "types ms", "enum err",
-               "formulas tried", "vm ms", "tree ms", "interp ms",
-               "vm/tree", "interp/vm"});
+               "formulas tried", "vm ms", "interp ms", "interp/vm"});
   for (int n : {12, 16, 20, 24}) {
     Graph graph = MakeRandomTree(n, rng);
     AddRandomColors(graph, {"Red"}, 0.4, rng);
@@ -200,12 +199,11 @@ int main(int argc, char** argv) {
 
     // Enumerate the rank-2 syntactic slice ONCE, outside the stopwatches:
     // the enumeration is pure formula syntax (identical for every eval
-    // mode) and would otherwise swamp the grid-search timing. Per-engine
+    // mode) and would otherwise swamp the grid-search timing.
     // PrepareFormulas then hoists plan compilation AND bytecode lowering
     // out of the timed region too (mirroring the production PlanCache), so
-    // the rows measure the search itself under all three engines: the
-    // bytecode VM (the default), the tree engine, and the interpreted
-    // reference oracle.
+    // the rows measure the search itself under both engines: the bytecode
+    // VM (the default) and the interpreted reference oracle.
     EnumerationOptions enumeration;
     enumeration.free_variables = QueryVars(1);
     enumeration.colors = {"Red"};
@@ -214,14 +212,13 @@ int main(int argc, char** argv) {
     enumeration.max_count = 4000;
     std::vector<FormulaRef> formulas = EnumerateFormulas(enumeration);
 
-    constexpr EvalEngine kEngines[] = {
-        EvalEngine::kVm, EvalEngine::kCompiled, EvalEngine::kInterpreted};
+    constexpr EvalEngine kEngines[] = {EvalEngine::kVm,
+                                       EvalEngine::kInterpreted};
     const int kGridReps = 3;  // best-of-k: the ratio, not the noise
-    double engine_ms[3] = {1e300, 1e300, 1e300};
-    EnumerationErmResult engine_results[3];
-    for (int e = 0; e < 3; ++e) {
-      std::vector<PreparedFormula> prepared =
-          PrepareFormulas(formulas, 1, 0, kEngines[e]);
+    double engine_ms[2] = {1e300, 1e300};
+    EnumerationErmResult engine_results[2];
+    std::vector<PreparedFormula> prepared = PrepareFormulas(formulas, 1, 0);
+    for (int e = 0; e < 2; ++e) {
       EvalOptions eval;
       eval.engine = kEngines[e];
       for (int rep = 0; rep < kGridReps; ++rep) {
@@ -232,8 +229,7 @@ int main(int argc, char** argv) {
       }
     }
     const double vm_ms = engine_ms[0];
-    const double tree_ms = engine_ms[1];
-    const double interp_ms = engine_ms[2];
+    const double interp_ms = engine_ms[1];
     const EnumerationErmResult& enumerated = engine_results[0];
 
     table.AddRow({std::to_string(n), FormatDouble(types.training_error, 3),
@@ -241,30 +237,23 @@ int main(int argc, char** argv) {
                   FormatDouble(type_ms, 2),
                   FormatDouble(enumerated.training_error, 3),
                   std::to_string(enumerated.formulas_tried),
-                  FormatDouble(vm_ms, 1), FormatDouble(tree_ms, 1),
-                  FormatDouble(interp_ms, 1),
-                  FormatDouble(tree_ms / vm_ms, 2),
+                  FormatDouble(vm_ms, 1), FormatDouble(interp_ms, 1),
                   FormatDouble(interp_ms / vm_ms, 2)});
     json.Record("erm_core/e9_types", "n=" + std::to_string(n), type_ms,
                 types.distinct_types_seen);
     json.Record("erm_core/e9_enumeration", "n=" + std::to_string(n), vm_ms,
                 enumerated.formulas_tried);
-    json.Record("erm_core/e9_enumeration_tree", "n=" + std::to_string(n),
-                tree_ms, engine_results[1].formulas_tried);
     json.Record("erm_core/e9_enumeration_interpreted",
                 "n=" + std::to_string(n), interp_ms,
-                engine_results[2].formulas_tried);
+                engine_results[1].formulas_tried);
     if (types.training_error > enumerated.training_error + 1e-12) {
       std::printf("VIOLATION: type ERM worse than an enumerated formula!\n");
       return 1;
     }
-    for (int e = 1; e < 3; ++e) {
-      if (engine_results[e].training_error != enumerated.training_error ||
-          engine_results[e].formulas_tried != enumerated.formulas_tried) {
-        std::printf("VIOLATION: the %s and vm grids disagree!\n",
-                    EvalEngineName(kEngines[e]));
-        return 1;
-      }
+    if (engine_results[1].training_error != enumerated.training_error ||
+        engine_results[1].formulas_tried != enumerated.formulas_tried) {
+      std::printf("VIOLATION: the interpreted and vm grids disagree!\n");
+      return 1;
     }
   }
   table.Print();

@@ -40,7 +40,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "util/checkpoint.h"
 #include "util/rng.h"

@@ -1,22 +1,24 @@
 // The bytecode VM's headline bench: the E9 rank-2 enumeration grid timed
-// under all three evaluation engines — the register VM (mc/vm.h), the tree
-// engine it was lowered from (mc/compiled_eval.h), and the reference
-// interpreter — with every graph-independent artifact (the syntactic
-// enumeration, plan compilation, bytecode lowering) hoisted out of the
-// timed region via PrepareFormulas. The grid search itself is what is
-// measured, so the vm/tree ratio is the dispatch-loop win, not a
+// under both evaluation engines — the register VM (mc/vm.h) and the
+// reference interpreter — plus the plan walker the VM falls back on
+// (mc/compiled_eval.h), timed on the same ell = 0 grid through
+// CompiledEvaluator directly. Every graph-independent artifact (the
+// syntactic enumeration, plan compilation, bytecode lowering) is hoisted
+// out of the timed region via PrepareFormulas. The grid search itself is
+// what is measured, so the vm/tree ratio is the dispatch-loop win, not a
 // compilation-amortisation artifact.
 //
 // Records (via --json, aggregated into BENCH_vm.json by run_benches.sh):
 //   vm/e9_grid        config "engine=<name> n=<n>"  — best-of-3 grid ms
-//   vm/prepare        config "engine=<name> n=<n>"  — one-time prepare ms
+//                     (engine=compiled is the plan-walker row)
+//   vm/prepare        config "engine=vm n=<n>"      — one-time prepare ms
 //   vm/lowering       config "n=<n> phase=lower|exec" — EvalStats split
 //   vm/opcode_profile config "op=<name> n=<n>"      — counting-lane
 //       dispatch tally per opcode (work_units = dispatches; wall_ms is the
 //       profile run's exec_ms, identical across the rows of one n)
 //
 // run_benches.sh fails the whole run if any e9_grid VM row is slower than
-// the tree-engine row for the same n.
+// the plan-walker (engine=compiled) row for the same n.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,6 +31,7 @@
 #include "graph/generators.h"
 #include "learn/erm.h"
 #include "mc/bytecode.h"
+#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -38,8 +41,32 @@ using namespace folearn;
 
 namespace {
 
-constexpr EvalEngine kEngines[] = {EvalEngine::kInterpreted,
-                                   EvalEngine::kCompiled, EvalEngine::kVm};
+// The ell = 0 grid through CompiledEvaluator: EnumerationErm's scan on one
+// thread (lexicographic argmin of (error, index), stop at the first zero
+// error), with one evaluator per candidate bound to the graph.
+EnumerationErmResult PlanWalkerGrid(
+    const Graph& graph, const TrainingSet& examples,
+    const std::vector<PreparedFormula>& prepared) {
+  EnumerationErmResult result;
+  result.training_error = 1e300;
+  std::vector<Vertex> env(1);
+  for (const PreparedFormula& candidate : prepared) {
+    CompiledEvaluator evaluator(*candidate.plan, graph);
+    int64_t wrong = 0;
+    for (const LabeledExample& example : examples) {
+      env[0] = example.tuple[0];
+      if (evaluator.Eval(env) != example.label) ++wrong;
+    }
+    const double error = examples.empty()
+                             ? 0.0
+                             : static_cast<double>(wrong) /
+                                   static_cast<double>(examples.size());
+    ++result.formulas_tried;
+    if (error < result.training_error) result.training_error = error;
+    if (error == 0.0) break;
+  }
+  return result;
+}
 
 // Per-opcode dispatch profile: one representative rank-2 guarded query run
 // over every vertex through the counting lane (the lane that tallies
@@ -88,7 +115,7 @@ void ProfileOpcodes(const Graph& graph, int n, BenchJsonWriter& json) {
 int main(int argc, char** argv) {
   BenchJsonWriter json(argc, argv);
   Rng rng(777);
-  std::printf("bytecode VM vs tree engine vs interpreter on the E9 rank-2 "
+  std::printf("bytecode VM vs plan walker vs interpreter on the E9 rank-2 "
               "enumeration grid\n(plan compilation and bytecode lowering "
               "hoisted out of the timed region)\n\n");
 
@@ -114,42 +141,43 @@ int main(int argc, char** argv) {
     enumeration.max_count = 4000;
     std::vector<FormulaRef> formulas = EnumerateFormulas(enumeration);
 
+    // One-time preparation (compile + lower), outside the grid stopwatch —
+    // this is what PlanCache amortises in production.
+    Stopwatch prepare_watch;
+    std::vector<PreparedFormula> prepared = PrepareFormulas(formulas, 1, 0);
+    json.Record("vm/prepare", "engine=vm n=" + std::to_string(n),
+                prepare_watch.ElapsedMillis(),
+                static_cast<long long>(prepared.size()));
+
+    // Legs in table order: interpreter, plan walker, VM.
+    const char* const kLegs[] = {"interpreted", "compiled", "vm"};
     const int kReps = 3;  // best-of-k: the ratio, not the noise
     double best_ms[3] = {1e300, 1e300, 1e300};
     EnumerationErmResult results[3];
-    for (int e = 0; e < 3; ++e) {
-      EvalEngine engine = kEngines[e];
-      // One-time per-engine preparation (compile + lower), outside the
-      // grid stopwatch — this is what PlanCache amortises in production.
-      Stopwatch prepare_watch;
-      std::vector<PreparedFormula> prepared =
-          PrepareFormulas(formulas, 1, 0, engine);
-      json.Record("vm/prepare",
-                  "engine=" + std::string(EvalEngineName(engine)) +
-                      " n=" + std::to_string(n),
-                  prepare_watch.ElapsedMillis(),
-                  static_cast<long long>(prepared.size()));
-
+    for (int leg = 0; leg < 3; ++leg) {
       EvalOptions eval;
-      eval.engine = engine;
+      eval.engine =
+          leg == 0 ? EvalEngine::kInterpreted : EvalEngine::kVm;
       for (int rep = 0; rep < kReps; ++rep) {
         Stopwatch watch;
-        results[e] = EnumerationErm(graph, examples, 0, prepared, nullptr, 1,
-                                    eval);
-        best_ms[e] = std::min(best_ms[e], watch.ElapsedMillis());
+        results[leg] =
+            leg == 1 ? PlanWalkerGrid(graph, examples, prepared)
+                     : EnumerationErm(graph, examples, 0, prepared, nullptr,
+                                      1, eval);
+        best_ms[leg] = std::min(best_ms[leg], watch.ElapsedMillis());
       }
       json.Record("vm/e9_grid",
-                  "engine=" + std::string(EvalEngineName(engine)) +
+                  "engine=" + std::string(kLegs[leg]) +
                       " n=" + std::to_string(n),
-                  best_ms[e], results[e].formulas_tried);
+                  best_ms[leg], results[leg].formulas_tried);
     }
 
-    for (int e = 1; e < 3; ++e) {
-      if (results[e].training_error != results[0].training_error ||
-          results[e].formulas_tried != results[0].formulas_tried) {
-        std::printf("VIOLATION: engine '%s' disagrees with the "
+    for (int leg = 1; leg < 3; ++leg) {
+      if (results[leg].training_error != results[0].training_error ||
+          results[leg].formulas_tried != results[0].formulas_tried) {
+        std::printf("VIOLATION: the %s leg disagrees with the "
                     "interpreter on the E9 grid!\n",
-                    EvalEngineName(kEngines[e]));
+                    kLegs[leg]);
         return 1;
       }
     }
@@ -164,7 +192,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf("\n'vm/tree' is the dispatch-loop win over the flattened "
-              "node-tree walk on identical plans;\nall three engines return "
+              "node-tree walk on identical plans;\nall three legs return "
               "identical errors and formulas_tried on every row.\n");
 
   ProfileOpcodes(profiled_graph, profiled_n, json);

@@ -42,7 +42,7 @@ TrainingSet LabelByQuery(const Graph& graph, const FormulaRef& query,
                          std::span<const std::string> vars,
                          const std::vector<std::vector<Vertex>>& tuples) {
   // Batched evaluation: the query is compiled once and the plan reused
-  // across all tuples (mc/compiled_eval.h).
+  // across all tuples on one VM evaluator (mc/vm.h).
   std::vector<bool> labels = EvaluateOnTuples(graph, query, vars, tuples);
   TrainingSet examples;
   examples.reserve(tuples.size());

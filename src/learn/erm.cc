@@ -9,7 +9,6 @@
 
 #include "learn/search_state.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/vm.h"
 #include "util/combinatorics.h"
@@ -266,18 +265,16 @@ EnumerationErmResult EnumerationErmSequential(
 }
 
 // Per-worker compiled-plan cache for the enumeration grid: each worker
-// compiles (and, for the VM engine, lowers) a candidate formula at most
-// once and keeps the evaluator (with its per-graph memo) alive across all
-// parameter tuples and examples. With a byte budget
-// (EvalOptions::cache_bytes ≥ 0) the oldest self-compiled plans are
-// dropped FIFO when the estimated footprint exceeds it — they recompile
-// on next use, so only speed, never results, depends on the budget.
-// Prepared (caller-owned) plans are never charged or evicted; only their
-// per-graph evaluators live here.
+// compiles and lowers a candidate formula at most once and keeps the
+// VmEvaluator (with its per-graph memo) alive across all parameter tuples
+// and examples. With a byte budget (EvalOptions::cache_bytes ≥ 0) the
+// oldest self-compiled plans are dropped FIFO when the estimated footprint
+// exceeds it — they recompile on next use, so only speed, never results,
+// depends on the budget. Prepared (caller-owned) plans are never charged
+// or evicted; only their per-graph evaluators live here.
 struct EnumerationPlanCache {
   std::vector<std::unique_ptr<CompiledFormula>> plans;
-  std::vector<std::shared_ptr<const LoweredPlan>> lowered;  // VM engine only
-  std::vector<std::unique_ptr<CompiledEvaluator>> evaluators;
+  std::vector<std::shared_ptr<const LoweredPlan>> lowered;
   std::vector<std::unique_ptr<VmEvaluator>> vms;
   std::vector<Vertex> env;
   std::deque<int64_t> compiled_order;  // oldest formula index at the front
@@ -289,12 +286,9 @@ struct EnumerationPlanCache {
     return static_cast<int64_t>(plan.nodes().size()) * 64 + 512;
   }
 
-  // Budget footprint of a self-compiled entry: the tree plan plus its
-  // bytecode, when lowered.
+  // Budget footprint of a self-compiled entry: the plan plus its bytecode.
   int64_t EntryBytes(int64_t index) const {
-    int64_t total = PlanBytes(*plans[index]);
-    if (lowered[index] != nullptr) total += lowered[index]->bytes();
-    return total;
+    return PlanBytes(*plans[index]) + lowered[index]->bytes();
   }
 
   void EnforceBudget(int64_t max_bytes) {
@@ -304,9 +298,8 @@ struct EnumerationPlanCache {
       const int64_t oldest = compiled_order.front();
       compiled_order.pop_front();
       bytes -= EntryBytes(oldest);
-      // Evaluators reference the plan and bytecode: drop them first.
+      // The evaluator references the plan and bytecode: drop it first.
       vms[oldest].reset();
-      evaluators[oldest].reset();
       lowered[oldest].reset();
       plans[oldest].reset();
       ++evictions;
@@ -331,7 +324,7 @@ EnumerationErmResult EnumerationErmGrid(
   // ungoverned (matching the TrainingError default of the PR 2 code).
   EvalOptions candidate_eval = eval;
   candidate_eval.governor = nullptr;
-  const EvalEngine engine = ResolveEngine(candidate_eval);
+  const bool interpreted = candidate_eval.engine == EvalEngine::kInterpreted;
   const auto formula_at = [&](int64_t index) -> const FormulaRef& {
     return use_prepared ? prepared[index].formula : formulas[index];
   };
@@ -384,13 +377,13 @@ EnumerationErmResult EnumerationErmGrid(
   // VmEvaluators share it read-only (per-evaluator auto-builds would
   // multiply its footprint by the candidate count).
   const std::shared_ptr<const VmGraphIndex> vm_index =
-      engine == EvalEngine::kVm ? VmGraphIndex::Build(graph) : nullptr;
+      interpreted ? nullptr : VmGraphIndex::Build(graph);
   ScanOutcome outcome = RunResumableScan(
       spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
         const int64_t formula_index = index % num_formulas;
         std::vector<int64_t> raw =
             NthTuple(graph.order(), ell, index / num_formulas);
-        if (engine == EvalEngine::kInterpreted) {
+        if (interpreted) {
           std::vector<Vertex> parameters(raw.begin(), raw.end());
           Hypothesis candidate{formula_at(formula_index), query_vars,
                                param_vars, parameters};
@@ -402,61 +395,39 @@ EnumerationErmResult EnumerationErmGrid(
         if (cache.plans.empty()) {
           cache.plans.resize(num_formulas);
           cache.lowered.resize(num_formulas);
-          cache.evaluators.resize(num_formulas);
           cache.vms.resize(num_formulas);
           cache.env.resize(all_vars.size());
         }
-        const bool is_vm = engine == EvalEngine::kVm;
-        const bool have = is_vm ? cache.vms[formula_index] != nullptr
-                                : cache.evaluators[formula_index] != nullptr;
-        if (!have) {
+        if (cache.vms[formula_index] == nullptr) {
           const CompiledFormula* plan;
           if (use_prepared) {
             plan = prepared[formula_index].plan.get();
-            if (is_vm) {
-              cache.lowered[formula_index] = prepared[formula_index].lowered;
-              if (cache.lowered[formula_index] == nullptr) {
-                cache.lowered[formula_index] =
-                    std::make_shared<const LoweredPlan>(LowerPlan(*plan));
-              }
-            }
+            cache.lowered[formula_index] = prepared[formula_index].lowered;
           } else {
             cache.plans[formula_index] = std::make_unique<CompiledFormula>(
                 CompileFormula(formula_at(formula_index), all_vars));
             plan = cache.plans[formula_index].get();
-            if (is_vm) {
-              cache.lowered[formula_index] =
-                  std::make_shared<const LoweredPlan>(LowerPlan(*plan));
-            }
+            cache.lowered[formula_index] =
+                std::make_shared<const LoweredPlan>(LowerPlan(*plan));
             cache.compiled_order.push_back(formula_index);
             cache.bytes += cache.EntryBytes(formula_index);
             cache.EnforceBudget(candidate_eval.cache_bytes);
           }
-          if (is_vm) {
-            cache.vms[formula_index] = std::make_unique<VmEvaluator>(
-                *plan, *cache.lowered[formula_index], graph, candidate_eval,
-                vm_index);
-          } else {
-            cache.evaluators[formula_index] =
-                std::make_unique<CompiledEvaluator>(*plan, graph,
-                                                    candidate_eval);
-          }
+          cache.vms[formula_index] = std::make_unique<VmEvaluator>(
+              *plan, *cache.lowered[formula_index], graph, candidate_eval,
+              vm_index);
         }
         for (int j = 0; j < ell; ++j) {
           cache.env[k + j] = static_cast<Vertex>(raw[j]);
         }
-        const auto sweep = [&](auto& evaluator) -> int64_t {
-          int64_t wrong = 0;
-          for (const LabeledExample& example : examples) {
-            FOLEARN_CHECK_EQ(static_cast<int>(example.tuple.size()), k);
-            std::copy(example.tuple.begin(), example.tuple.end(),
-                      cache.env.begin());
-            if (evaluator.Eval(cache.env) != example.label) ++wrong;
-          }
-          return wrong;
-        };
-        const int64_t wrong = is_vm ? sweep(*cache.vms[formula_index])
-                                    : sweep(*cache.evaluators[formula_index]);
+        VmEvaluator& evaluator = *cache.vms[formula_index];
+        int64_t wrong = 0;
+        for (const LabeledExample& example : examples) {
+          FOLEARN_CHECK_EQ(static_cast<int>(example.tuple.size()), k);
+          std::copy(example.tuple.begin(), example.tuple.end(),
+                    cache.env.begin());
+          if (evaluator.Eval(cache.env) != example.label) ++wrong;
+        }
         double error =
             m == 0 ? 0.0
                    : static_cast<double>(wrong) / static_cast<double>(m);
@@ -525,8 +496,7 @@ EnumerationErmResult EnumerationErm(const Graph& graph,
 }
 
 std::vector<PreparedFormula> PrepareFormulas(
-    std::span<const FormulaRef> formulas, int k, int ell,
-    EvalEngine engine) {
+    std::span<const FormulaRef> formulas, int k, int ell) {
   std::vector<std::string> all_vars = QueryVars(k);
   std::vector<std::string> param_vars = ParamVars(ell);
   all_vars.insert(all_vars.end(), param_vars.begin(), param_vars.end());
@@ -537,9 +507,7 @@ std::vector<PreparedFormula> PrepareFormulas(
     p.formula = formula;
     p.plan = std::make_shared<const CompiledFormula>(
         CompileFormula(formula, all_vars));
-    if (engine == EvalEngine::kVm) {
-      p.lowered = std::make_shared<const LoweredPlan>(LowerPlan(*p.plan));
-    }
+    p.lowered = std::make_shared<const LoweredPlan>(LowerPlan(*p.plan));
     prepared.push_back(std::move(p));
   }
   return prepared;

@@ -138,11 +138,11 @@ struct EnumerationErmResult {
 // BruteForceErm's sweep (same determinism guarantees; 0 = hardware
 // concurrency).
 //
-// Candidate formulas are compiled once per worker and the plans (plus
-// their per-graph subformula memos) are reused across every parameter
-// tuple and training example — the compiled engine's headline win on the
-// E9 grid. `eval` controls the per-candidate evaluation only
-// (force_interpreter routes through the reference evaluator;
+// Candidate formulas are compiled and lowered once per worker and the VM
+// evaluators (plus their per-graph subformula memos) are reused across
+// every parameter tuple and training example — the headline win on the E9
+// grid. `eval` controls the per-candidate evaluation only
+// (EvalEngine::kInterpreted routes through the reference evaluator;
 // eval.governor is ignored — the grid-level `governor` parameter is the
 // budget, charged one unit per candidate in both modes).
 // `hooks` enables checkpoint/resume of the grid scan (learner tag
@@ -170,23 +170,23 @@ EnumerationErmResult EnumerationErm(const Graph& graph,
                                     const ScanHooks& hooks = {});
 
 // A candidate with its graph-independent compilation artifacts hoisted out
-// of the grid scan: the tree plan and, when prepared for EvalEngine::kVm,
-// the lowered bytecode. Produced by PrepareFormulas; consumed by the
-// overload below. Prepared plans are caller-owned — the per-worker plan
-// caches neither count them against EvalOptions::cache_bytes nor evict
-// them (per-graph evaluators are still built, and evicted, per worker).
+// of the grid scan: the plan and its lowered bytecode. Produced by
+// PrepareFormulas; consumed by the overload below. Prepared plans are
+// caller-owned — the per-worker plan caches neither count them against
+// EvalOptions::cache_bytes nor evict them (per-graph evaluators are still
+// built, and evicted, per worker).
 struct PreparedFormula {
   FormulaRef formula;
   std::shared_ptr<const CompiledFormula> plan;
-  std::shared_ptr<const LoweredPlan> lowered;  // null unless VM-prepared
+  std::shared_ptr<const LoweredPlan> lowered;
 };
 
-// Compiles (and for EvalEngine::kVm lowers) every candidate against the
-// canonical frame QueryVars(k) · ParamVars(ell). Lets callers amortise
-// plan construction across repeated runs and keep it out of benches' timed
-// regions; graph binding still happens inside EnumerationErm.
+// Compiles and lowers every candidate against the canonical frame
+// QueryVars(k) · ParamVars(ell). Lets callers amortise plan construction
+// across repeated runs and keep it out of benches' timed regions; graph
+// binding still happens inside EnumerationErm.
 std::vector<PreparedFormula> PrepareFormulas(
-    std::span<const FormulaRef> formulas, int k, int ell, EvalEngine engine);
+    std::span<const FormulaRef> formulas, int k, int ell);
 
 // Grid search over pre-compiled candidates: identical results to the
 // FormulaRef overload on the same formulas, minus the per-worker

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/vm.h"
 #include "types/hintikka.h"
@@ -20,13 +19,6 @@ bool Hypothesis::Classify(const Graph& graph, std::span<const Vertex> tuple,
                           const EvalOptions& options) const {
   FOLEARN_CHECK_EQ(tuple.size(), query_vars.size());
   FOLEARN_CHECK_EQ(parameters.size(), param_vars.size());
-  if (ResolveEngine(options) == EvalEngine::kInterpreted) {
-    Assignment assignment(query_vars, tuple);
-    for (size_t i = 0; i < param_vars.size(); ++i) {
-      assignment.Bind(param_vars[i], parameters[i]);
-    }
-    return Evaluate(graph, formula, assignment, options);
-  }
   std::vector<Vertex> values(tuple.begin(), tuple.end());
   values.insert(values.end(), parameters.begin(), parameters.end());
   return EvaluateQuery(graph, formula, AllVars(), values, options);
@@ -36,8 +28,7 @@ double TrainingError(const Graph& graph, const Hypothesis& hypothesis,
                      const TrainingSet& examples, const EvalOptions& options) {
   if (examples.empty()) return 0.0;
   int64_t wrong = 0;
-  const EvalEngine engine = ResolveEngine(options);
-  if (engine == EvalEngine::kInterpreted) {
+  if (options.engine == EvalEngine::kInterpreted) {
     for (const LabeledExample& example : examples) {
       if (hypothesis.Classify(graph, example.tuple, options) !=
           example.label) {
@@ -45,30 +36,23 @@ double TrainingError(const Graph& graph, const Hypothesis& hypothesis,
       }
     }
   } else {
-    // Compile φ(x̄; ȳ) once and sweep the example tuples over one slot
-    // environment, with the parameters written into the tail up front.
+    // Compile and lower φ(x̄; ȳ) once and sweep the example tuples over
+    // one slot environment, with the parameters written into the tail up
+    // front.
     FOLEARN_CHECK_EQ(hypothesis.parameters.size(),
                      hypothesis.param_vars.size());
     CompiledFormula plan =
         CompileFormula(hypothesis.formula, hypothesis.AllVars());
+    LoweredPlan lowered = LowerPlan(plan);
+    VmEvaluator evaluator(plan, lowered, graph, options);
     const size_t k = hypothesis.query_vars.size();
     std::vector<Vertex> env(k + hypothesis.parameters.size());
     std::copy(hypothesis.parameters.begin(), hypothesis.parameters.end(),
               env.begin() + static_cast<ptrdiff_t>(k));
-    auto sweep = [&](auto& evaluator) {
-      for (const LabeledExample& example : examples) {
-        FOLEARN_CHECK_EQ(example.tuple.size(), k);
-        std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
-        if (evaluator.Eval(env) != example.label) ++wrong;
-      }
-    };
-    if (engine == EvalEngine::kVm) {
-      LoweredPlan lowered = LowerPlan(plan);
-      VmEvaluator evaluator(plan, lowered, graph, options);
-      sweep(evaluator);
-    } else {
-      CompiledEvaluator evaluator(plan, graph, options);
-      sweep(evaluator);
+    for (const LabeledExample& example : examples) {
+      FOLEARN_CHECK_EQ(example.tuple.size(), k);
+      std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
+      if (evaluator.Eval(env) != example.label) ++wrong;
     }
   }
   return static_cast<double>(wrong) / static_cast<double>(examples.size());

@@ -30,18 +30,18 @@ struct Hypothesis {
   // formula is compiled (mc/compiler.h).
   std::vector<std::string> AllVars() const;
 
-  // h(v̄): evaluates φ with x̄ ↦ tuple, ȳ ↦ parameters. Compiled unless
-  // options.force_interpreter is set; verdicts are identical either way.
+  // h(v̄): evaluates φ with x̄ ↦ tuple, ȳ ↦ parameters on
+  // options.engine; verdicts are identical on either engine.
   bool Classify(const Graph& graph, std::span<const Vertex> tuple,
                 const EvalOptions& options = {}) const;
 };
 
 // err_Λ(h): the fraction of examples classified wrongly (paper §3).
-// Compiles φ once and reuses the plan across all examples (per-graph
-// memoization of sentence-valued subformulas included); with
-// options.force_interpreter it loops Classify through the reference
-// evaluator instead. Governor checkpoints fire at identical points in
-// both modes.
+// On the VM, compiles and lowers φ once and reuses one evaluator across
+// all examples (per-graph memoization of sentence-valued subformulas
+// included); on the interpreter it loops Classify through the reference
+// evaluator instead. Governor checkpoints fire at identical points on
+// both engines.
 double TrainingError(const Graph& graph, const Hypothesis& hypothesis,
                      const TrainingSet& examples,
                      const EvalOptions& options = {});

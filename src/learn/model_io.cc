@@ -178,6 +178,11 @@ StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text) {
   if (header.k < 0 || header.ell < 0 || !have_formula) {
     return InvalidArgumentError("hypothesis requires header and formula");
   }
+  if (static_cast<int64_t>(header.k) + header.ell > kMaxHypothesisVars) {
+    return InvalidArgumentError(
+        "hypothesis header k + ell exceeds " +
+        std::to_string(kMaxHypothesisVars) + " variables");
+  }
   if (static_cast<int>(header.parameters.size()) != header.ell) {
     return InvalidArgumentError("parameter count does not match ell");
   }

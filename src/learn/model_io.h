@@ -53,9 +53,14 @@ struct HypothesisHeader {
   std::vector<std::string> AllVars() const;
 };
 
+// Upper bound on k + ℓ in a hypothesis header. The header sizes the
+// x1…xk · y1…yℓ frame before any formula or example is looked at, so an
+// unbounded k would let a one-line model text allocate without limit.
+inline constexpr int kMaxHypothesisVars = 1024;
+
 // The one hypothesis-text reader: every header error HypothesisFromText
 // reports comes from here (kInvalidArgument). A text with two `formula`
-// lines is rejected.
+// lines, or with k + ℓ above kMaxHypothesisVars, is rejected.
 StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text);
 
 // Parses header.formula and checks that its free variables lie in

@@ -243,7 +243,7 @@ class Lowerer {
       case COp::kSetMember:
       case COp::kExistsSet:
       case COp::kForallSet:
-        ok_ = false;  // MSO is not lowered: tree-engine fallback
+        ok_ = false;  // MSO is not lowered: plan-walker fallback
         return;
     }
     FOLEARN_CHECK(false) << "unreachable";
@@ -506,7 +506,7 @@ LoweredPlan LowerPlan(const CompiledFormula& plan) {
   for (const CompiledNode& node : plan.nodes()) {
     if (node.op == COp::kSetMember || node.op == COp::kExistsSet ||
         node.op == COp::kForallSet) {
-      return out;  // MSO: evaluate on the tree engine
+      return out;  // MSO: evaluate on the plan-walker fallback
     }
   }
   Lowerer fast(plan, /*counting=*/false);

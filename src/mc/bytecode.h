@@ -8,10 +8,12 @@
 
 namespace folearn {
 
-// Lowering of compiled tree plans (mc/compiler.h) into linear, register-
-// based bytecode executed by the dispatch-loop VM in mc/vm.h.
+// Lowering of compiled plans (mc/compiler.h) into linear, register-based
+// bytecode executed by the dispatch-loop VM in mc/vm.h — the library's one
+// fast evaluation engine (the recursive interpreter in mc/evaluator.cc is
+// its reference oracle).
 //
-// The tree engine (mc/compiled_eval.h) already fixes everything semantic —
+// The plan already fixes everything semantic —
 // slot assignment, guard selection, quantifier fusion, memo slots, the
 // two-lane evaluation contract — so the lowering's only job is to turn the
 // per-node recursion into straight-line code: quantifiers become loops with
@@ -29,7 +31,7 @@ namespace folearn {
 //    fuses loop + body into a single opcode (kScanAtoms, kCntAtoms, and
 //    the guarded forms above).
 //
-// Two programs are lowered per plan, mirroring the tree engine's lanes:
+// Two programs are lowered per plan:
 //
 //  * `fast` — superinstructions, guard domains, memo checks; only the
 //    verdict is observable.
@@ -41,9 +43,9 @@ namespace folearn {
 //    mc/evaluator.cc.
 //
 // MSO set quantifiers are not lowered: LowerPlan returns supported=false
-// and the VM evaluator falls back to the tree engine (which is itself
-// byte-identical to the interpreter), so verdicts never depend on which
-// engine actually ran.
+// and the VM evaluator delegates to its internal plan walker
+// (mc/compiled_eval.h, itself byte-identical to the interpreter), so
+// verdicts never depend on which path actually ran.
 
 // Bytecode opcodes. Operand roles are per-opcode (see VmInst); `t`/`f` are
 // jump targets taken on true/false outcomes, -1 when the opcode falls
@@ -148,19 +150,19 @@ struct BytecodeProgram {
 };
 
 // Both lanes of a lowered plan plus lowering diagnostics. Immutable after
-// LowerPlan; shareable across threads and graphs exactly like the tree
-// plan it was lowered from (all per-graph state lives in the VM).
+// LowerPlan; shareable across threads and graphs exactly like the plan it
+// was lowered from (all per-graph state lives in the VM).
 struct LoweredPlan {
   // False when the plan contains MSO set quantification (or the program
-  // exceeded the size cap): the VM then delegates whole evaluations to the
-  // tree engine, which is differentially verified against the interpreter.
+  // exceeded the size cap): the VM then delegates whole evaluations to its
+  // internal plan-walker fallback.
   bool supported = false;
   BytecodeProgram fast;
   BytecodeProgram counting;
   // Plan colour indices the fast program scans as guard domains. A graph
-  // that cannot resolve one of these names forces the tree-engine fallback
-  // (the tree engine reproduces the interpreter's lazy missing-colour
-  // semantics at the guard's original position).
+  // that cannot resolve one of these names forces the VM's fallback (whose
+  // full scan reproduces the interpreter's lazy missing-colour semantics at
+  // the guard's original position).
   std::vector<int32_t> guard_colors;
   // Diagnostics, surfaced by benches and the server's get-model stats.
   int32_t superinstructions = 0; // fused quantifier+atom-body opcodes
@@ -175,7 +177,7 @@ struct LoweredPlan {
 
 // Lowers `plan` into both bytecode lanes. Pure function of the plan: safe
 // to call concurrently, and the result may be cached and shared (the
-// PlanCache stores it next to the tree plan).
+// PlanCache stores it next to the plan).
 LoweredPlan LowerPlan(const CompiledFormula& plan);
 
 }  // namespace folearn

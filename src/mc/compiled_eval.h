@@ -11,7 +11,12 @@
 
 namespace folearn {
 
-// Executes a CompiledFormula plan against one graph. Construction binds the
+// Executes a CompiledFormula plan against one graph by walking its node
+// tree. This is not a selectable engine: VmEvaluator (mc/vm.h) owns one as
+// the fallback for plans LowerPlan rejects (MSO set quantifiers, oversized
+// programs) and for graphs missing a fast-lane guard colour.
+//
+// Construction binds the
 // plan to the graph: colour names resolve to ColorIds once, the slot
 // environment and the MSO subset buffers are allocated once, and the memo
 // table for sentence-valued subformulas starts empty. One evaluator then

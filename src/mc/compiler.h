@@ -19,9 +19,10 @@ namespace folearn {
 // training example × quantifier branch), the classic query-plan split pays
 // off: `CompileFormula` resolves all variable occurrences to integer slots
 // once (de Bruijn-style frame indices), flattens the DAG into a contiguous
-// node array, and marks the specialisable hot shapes; the matching
-// `CompiledEvaluator` (mc/compiled_eval.h) then runs the plan over a plain
-// `Vertex env[]` with no string handling at all.
+// node array, and marks the specialisable hot shapes; `LowerPlan`
+// (mc/bytecode.h) then turns the plan into bytecode that the VM
+// (mc/vm.h) runs over a plain `Vertex env[]` with no string handling at
+// all.
 //
 // Specialisations emitted by the compiler:
 //  * guarded quantifiers — a guard atom anywhere in the body's top-level

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/vm.h"
 
@@ -13,7 +12,6 @@ namespace folearn {
 const char* EvalEngineName(EvalEngine engine) {
   switch (engine) {
     case EvalEngine::kVm: return "vm";
-    case EvalEngine::kCompiled: return "compiled";
     case EvalEngine::kInterpreted: return "interpreted";
   }
   return "unknown";
@@ -21,7 +19,6 @@ const char* EvalEngineName(EvalEngine engine) {
 
 std::optional<EvalEngine> ParseEvalEngine(const std::string& name) {
   if (name == "vm") return EvalEngine::kVm;
-  if (name == "compiled") return EvalEngine::kCompiled;
   if (name == "interpreted") return EvalEngine::kInterpreted;
   return std::nullopt;
 }
@@ -246,41 +243,6 @@ double MsSince(SteadyClock::time_point start) {
       .count();
 }
 
-// Compile-then-evaluate for the one-shot entry points, routed to the tree
-// engine or the bytecode VM per ResolveEngine (the interpreted path never
-// reaches here). The clock is read only when a stats sink is attached.
-bool PlanEvalOnce(const Graph& graph, const FormulaRef& formula,
-                  std::span<const std::string> vars,
-                  std::span<const Vertex> tuple, const EvalOptions& options,
-                  EvalStats* stats) {
-  SteadyClock::time_point start;
-  if (stats != nullptr) start = SteadyClock::now();
-  CompiledFormula plan = CompileFormula(formula, vars);
-  if (stats != nullptr) {
-    stats->compile_ms += MsSince(start);
-    start = SteadyClock::now();
-  }
-  if (ResolveEngine(options) == EvalEngine::kVm) {
-    LoweredPlan lowered = LowerPlan(plan);
-    VmEvaluator evaluator(plan, lowered, graph, options);
-    if (stats != nullptr) {
-      stats->lower_ms += MsSince(start);
-      start = SteadyClock::now();
-    }
-    bool value = evaluator.Eval(tuple, stats);
-    if (stats != nullptr) {
-      const double ms = MsSince(start);
-      stats->eval_ms += ms;
-      stats->exec_ms += ms;
-    }
-    return value;
-  }
-  CompiledEvaluator evaluator(plan, graph, options);
-  bool value = evaluator.Eval(tuple, stats);
-  if (stats != nullptr) stats->eval_ms += MsSince(start);
-  return value;
-}
-
 }  // namespace
 
 bool Evaluate(const Graph& graph, const FormulaRef& formula,
@@ -293,28 +255,27 @@ bool Evaluate(const Graph& graph, const FormulaRef& formula,
   return value;
 }
 
+// The one-shot entry points are one-tuple batches: on the VM that is one
+// compile + lower + run, on the interpreter one recursive evaluation.
 bool EvaluateSentence(const Graph& graph, const FormulaRef& sentence,
                       const EvalOptions& options, EvalStats* stats) {
   FOLEARN_CHECK(sentence->free_variables().empty())
       << "sentence expected, but formula has free variables";
   FOLEARN_CHECK(sentence->free_set_variables().empty())
       << "sentence expected, but formula has free set variables";
-  if (ResolveEngine(options) == EvalEngine::kInterpreted) {
-    return Evaluate(graph, sentence, Assignment(), options, stats);
-  }
-  return PlanEvalOnce(graph, sentence, {}, {}, options, stats);
+  const std::vector<std::vector<Vertex>> empty_tuple(1);
+  return EvaluateOnTuples(graph, sentence, {}, empty_tuple, options, stats)
+      .front();
 }
 
 bool EvaluateQuery(const Graph& graph, const FormulaRef& formula,
                    std::span<const std::string> vars,
                    std::span<const Vertex> tuple, const EvalOptions& options,
                    EvalStats* stats) {
-  if (ResolveEngine(options) == EvalEngine::kInterpreted) {
-    return Evaluate(graph, formula, Assignment(vars, tuple), options, stats);
-  }
-  FOLEARN_CHECK(formula != nullptr);
-  FOLEARN_CHECK_EQ(vars.size(), tuple.size());
-  return PlanEvalOnce(graph, formula, vars, tuple, options, stats);
+  return EvaluateOnTuples(graph, formula, vars,
+                          {std::vector<Vertex>(tuple.begin(), tuple.end())},
+                          options, stats)
+      .front();
 }
 
 std::vector<bool> EvaluateOnTuples(
@@ -327,9 +288,9 @@ std::vector<bool> EvaluateOnTuples(
   results.reserve(tuples.size());
   if (tuples.empty()) return results;
 
-  const EvalEngine engine = ResolveEngine(options);
-  if (engine != EvalEngine::kInterpreted) {
-    // One plan, one evaluator, all tuples — the batched fast path.
+  if (options.engine == EvalEngine::kVm) {
+    // One plan, one evaluator, all tuples. The clock is read only when a
+    // stats sink is attached.
     SteadyClock::time_point start;
     if (stats != nullptr) start = SteadyClock::now();
     CompiledFormula plan = CompileFormula(formula, vars);
@@ -337,34 +298,25 @@ std::vector<bool> EvaluateOnTuples(
       stats->compile_ms += MsSince(start);
       start = SteadyClock::now();
     }
-    if (engine == EvalEngine::kVm) {
-      LoweredPlan lowered = LowerPlan(plan);
-      VmEvaluator evaluator(plan, lowered, graph, options);
-      if (stats != nullptr) {
-        stats->lower_ms += MsSince(start);
-        start = SteadyClock::now();
-      }
-      for (const std::vector<Vertex>& tuple : tuples) {
-        FOLEARN_CHECK_EQ(tuple.size(), vars.size());
-        results.push_back(evaluator.Eval(tuple, stats));
-      }
-      if (stats != nullptr) {
-        const double ms = MsSince(start);
-        stats->eval_ms += ms;
-        stats->exec_ms += ms;
-      }
-      return results;
+    LoweredPlan lowered = LowerPlan(plan);
+    VmEvaluator evaluator(plan, lowered, graph, options);
+    if (stats != nullptr) {
+      stats->lower_ms += MsSince(start);
+      start = SteadyClock::now();
     }
-    CompiledEvaluator evaluator(plan, graph, options);
     for (const std::vector<Vertex>& tuple : tuples) {
       FOLEARN_CHECK_EQ(tuple.size(), vars.size());
       results.push_back(evaluator.Eval(tuple, stats));
     }
-    if (stats != nullptr) stats->eval_ms += MsSince(start);
+    if (stats != nullptr) {
+      const double ms = MsSince(start);
+      stats->eval_ms += ms;
+      stats->exec_ms += ms;
+    }
     return results;
   }
 
-  // Interpreted fallback: build the assignment once and rebind per tuple
+  // Interpreter: build the assignment once and rebind per tuple
   // (the evaluator restores the binding stacks after every call, even when
   // the governor trips mid-recursion, so reuse is sound).
   Evaluator evaluator(graph, options, stats);

@@ -78,23 +78,22 @@ class Assignment {
   mutable size_t last_hit_ = 0;
 };
 
-// Which engine executes compiled-path evaluations. All three produce
-// byte-identical verdicts, EvalStats counters, and governor cut points
-// (enforced by the three-way differential grid in
-// compiled_vs_interpreted_test); they differ only in speed:
-//  * kVm — plans are lowered to register bytecode (mc/bytecode.h) run by a
-//    threaded-dispatch VM (mc/vm.h). The default and the fastest.
-//  * kCompiled — the PR 3 tree engine (mc/compiled_eval.h): flattened
-//    node-tree walk, retained as the VM's differential oracle and as the
-//    fallback for plans the lowering rejects.
-//  * kInterpreted — the recursive reference interpreter.
+// Which engine executes EvaluateSentence/EvaluateQuery/EvaluateOnTuples and
+// everything layered on them. Both produce byte-identical verdicts,
+// EvalStats counters, and governor cut points (enforced by the
+// VM-vs-interpreter differential grid in compiled_vs_interpreted_test);
+// they differ only in speed:
+//  * kVm — plans (mc/compiler.h) are lowered to register bytecode
+//    (mc/bytecode.h) run by a threaded-dispatch VM (mc/vm.h). The default
+//    and the fast path.
+//  * kInterpreted — the recursive reference interpreter, the oracle the
+//    VM is checked against.
 enum class EvalEngine : uint8_t {
   kVm,
-  kCompiled,
   kInterpreted,
 };
 
-// CLI-facing engine names: "vm", "compiled", "interpreted".
+// CLI-facing engine names: "vm", "interpreted".
 const char* EvalEngineName(EvalEngine engine);
 // Inverse of EvalEngineName; nullopt for unknown names.
 std::optional<EvalEngine> ParseEvalEngine(const std::string& name);
@@ -103,15 +102,15 @@ std::optional<EvalEngine> ParseEvalEngine(const std::string& name);
 struct EvalStats {
   int64_t atom_evaluations = 0;
   int64_t quantifier_branches = 0;
-  // Wall-clock split of the compiled path: plan construction vs plan
+  // Wall-clock split of the VM path: plan construction vs plan
   // execution, accumulated across calls like the counters above. Both stay
   // zero on the interpreted path (and when no stats sink is attached the
   // clock is never read at all).
   double compile_ms = 0.0;
   double eval_ms = 0.0;
-  // Finer-grained split for the VM engine: bytecode lowering (part of plan
-  // construction, amortized across calls when plans are cached) vs bytecode
-  // execution (also included in eval_ms). Zero on the other engines.
+  // Finer-grained split: bytecode lowering (part of plan construction,
+  // amortized across calls when plans are cached) vs bytecode execution
+  // (also included in eval_ms). Zero on the interpreter.
   double lower_ms = 0.0;
   double exec_ms = 0.0;
   // Per-opcode dispatch tallies from the VM's counting lane, indexed by
@@ -119,7 +118,7 @@ struct EvalStats {
   // ran with this sink; sized kNumVmOps afterwards.
   std::vector<int64_t> vm_op_dispatches;
   // Memo-table entries dropped to honour EvalOptions::cache_bytes
-  // (compiled path only; stays 0 when the budget is unlimited). Purely a
+  // (VM path only; stays 0 when the budget is unlimited). Purely a
   // performance signal: verdicts and work counts are identical with any
   // budget.
   int64_t cache_evictions = 0;
@@ -137,33 +136,21 @@ struct EvalOptions {
   // Engine for EvaluateSentence/EvaluateQuery/EvaluateOnTuples and
   // everything layered on them (training error, dataset labelling,
   // enumeration ERM). Verdicts, work counts, and governor cut points are
-  // identical across engines; they differ only in speed. See ResolveEngine
-  // for the interaction with force_interpreter.
+  // identical across engines; they differ only in speed.
   EvalEngine engine = EvalEngine::kVm;
-  // Escape hatch predating `engine`: when set, routes everything through
-  // the interpreted reference evaluator regardless of `engine`. Kept so
-  // existing call sites (and saved configs) keep their meaning.
-  bool force_interpreter = false;
   // Optional resource governor (nullptr = ungoverned). Work unit: one
   // quantifier branch (one vertex binding or one MSO subset). On a trip the
   // evaluation unwinds immediately; the returned bool is then unspecified —
   // check `stats->status` or the governor itself.
   ResourceGovernor* governor = nullptr;
-  // Byte budget for the evaluation-side memo tables (the compiled
-  // evaluator's colour-member lists and the enumeration-ERM plan caches);
+  // Byte budget for the evaluation-side memo tables (the VM's
+  // colour-member lists and the enumeration-ERM plan caches);
   // −1 = unbounded. Memos over budget are recomputed on demand instead of
   // retained, with deterministic (insertion-order) eviction; results are
   // identical with any budget. Evictions are reported via
   // EvalStats::cache_evictions.
   int64_t cache_bytes = -1;
 };
-
-// The engine that actually runs under `options`: force_interpreter wins,
-// otherwise options.engine.
-inline EvalEngine ResolveEngine(const EvalOptions& options) {
-  return options.force_interpreter ? EvalEngine::kInterpreted
-                                   : options.engine;
-}
 
 // The FO-MC substrate (paper §4): decides G ⊨ φ under `assignment` by the
 // standard recursive semantics. All free variables of φ must be bound.
@@ -176,21 +163,19 @@ inline EvalEngine ResolveEngine(const EvalOptions& options) {
 // structures up to ~22 vertices only (CHECK-enforced).
 //
 // This entry point always runs the recursive interpreter: it is the
-// reference oracle the compiled engine (mc/compiler.h, mc/compiled_eval.h)
-// is differentially tested against. The sentence/query/tuple-batch helpers
-// below compile by default and honour `options.force_interpreter`.
+// reference oracle the VM (mc/compiler.h, mc/vm.h) is differentially
+// tested against. The sentence/query/tuple-batch helpers below run
+// `options.engine`.
 bool Evaluate(const Graph& graph, const FormulaRef& formula,
               const Assignment& assignment, const EvalOptions& options = {},
               EvalStats* stats = nullptr);
 
-// G ⊨ φ for a sentence φ (no free variables). Compiled unless
-// options.force_interpreter is set.
+// G ⊨ φ for a sentence φ (no free variables), on `options.engine`.
 bool EvaluateSentence(const Graph& graph, const FormulaRef& sentence,
                       const EvalOptions& options = {},
                       EvalStats* stats = nullptr);
 
-// G ⊨ φ(v̄) binding vars[i] ↦ tuple[i]. Compiled unless
-// options.force_interpreter is set.
+// G ⊨ φ(v̄) binding vars[i] ↦ tuple[i], on `options.engine`.
 bool EvaluateQuery(const Graph& graph, const FormulaRef& formula,
                    std::span<const std::string> vars,
                    std::span<const Vertex> tuple,
@@ -198,8 +183,9 @@ bool EvaluateQuery(const Graph& graph, const FormulaRef& formula,
                    EvalStats* stats = nullptr);
 
 // Evaluates φ(x1, …, xk) on every k-tuple in `tuples` (query answering).
-// One plan is compiled and reused across all tuples (the interpreted
-// fallback likewise builds its assignment once and rebinds per tuple).
+// On the VM one plan is compiled, lowered, and reused across all tuples;
+// the interpreter likewise builds its assignment once and rebinds per
+// tuple.
 std::vector<bool> EvaluateOnTuples(
     const Graph& graph, const FormulaRef& formula,
     std::span<const std::string> vars,

@@ -36,14 +36,12 @@ int64_t PlanPayloadBytes(const CompiledFormula& plan) {
 
 }  // namespace
 
-// Key = formula source text + frame + engine + options fingerprint. The
+// Key = formula source text + frame + options fingerprint. The
 // source is length-prefixed because it may come straight off the wire:
 // without the prefix a text containing the unit separator could spell out
 // another text's frame and hit a plan compiled for a different frame. The
 // frame and suffix are separated by the unit separator (which cannot occur
-// in variable names); the engine/fingerprint suffix keeps a tree-only entry
-// and a tree+bytecode entry for the same formula distinct, so neither
-// collides with nor double-counts the other's byte budget.
+// in variable names).
 std::string PlanCache::MakeKey(std::string_view source,
                                std::span<const std::string> free_var_order,
                                const EvalOptions& options) {
@@ -55,8 +53,6 @@ std::string PlanCache::MakeKey(std::string_view source,
     key.append(var);
   }
   key.push_back('\x1f');
-  key.append(EvalEngineName(ResolveEngine(options)));
-  key.push_back('\x1f');
   key.append(options.missing_color_is_false ? "mcf1" : "mcf0");
   return key;
 }
@@ -67,11 +63,9 @@ int64_t PlanCache::EntryBytes(const std::string& key,
   // control-block overhead, estimated the same way BallCache does.
   constexpr int64_t kPerEntryOverhead =
       4 * sizeof(void*) + sizeof(CachedPlan) + 2 * sizeof(int64_t);
-  FOLEARN_CHECK(entry.plan != nullptr);
-  int64_t bytes =
-      PlanPayloadBytes(*entry.plan) + 2 * StringBytes(key) + kPerEntryOverhead;
-  if (entry.bytecode != nullptr) bytes += entry.bytecode->bytes();
-  return bytes;
+  FOLEARN_CHECK(entry.plan != nullptr && entry.bytecode != nullptr);
+  return PlanPayloadBytes(*entry.plan) + entry.bytecode->bytes() +
+         2 * StringBytes(key) + kPerEntryOverhead;
 }
 
 PlanCache::~PlanCache() {
@@ -134,19 +128,16 @@ StatusOr<CachedPlan> PlanCache::GetOrCompileSource(
   // stands for a source that parsed and validated against its frame.
   StatusOr<FormulaRef> formula = parse();
   if (!formula.ok()) return formula.status();
-  // Compile (and for the VM engine, lower) outside the lock: plans can
-  // take a while and the cache must not serialise unrelated requests
-  // behind one compilation.
+  // Compile and lower outside the lock: plans can take a while and the
+  // cache must not serialise unrelated requests behind one compilation.
   CachedPlan entry;
   entry.plan = std::make_shared<const CompiledFormula>(
       CompileFormula(*formula, free_var_order));
-  if (ResolveEngine(options) == EvalEngine::kVm) {
-    const auto start = std::chrono::steady_clock::now();
-    entry.bytecode = std::make_shared<const LoweredPlan>(LowerPlan(*entry.plan));
-    entry.lower_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  }
+  const auto start = std::chrono::steady_clock::now();
+  entry.bytecode = std::make_shared<const LoweredPlan>(LowerPlan(*entry.plan));
+  entry.lower_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   const int64_t cost = EntryBytes(key, entry);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);

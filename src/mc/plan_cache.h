@@ -21,14 +21,13 @@
 
 namespace folearn {
 
-// One cached compilation artefact: the tree plan, plus — for
-// EvalEngine::kVm entries — its lowered bytecode and how long the lowering
-// took (amortised across every reuse; surfaced by the server's get-model
-// stats). All members are immutable and shareable across threads and
-// graphs; per-graph state lives in the evaluators.
+// One cached compilation artefact: the plan, its lowered bytecode, and how
+// long the lowering took (amortised across every reuse; surfaced by the
+// server's get-model stats). All members are immutable and shareable
+// across threads and graphs; per-graph state lives in the evaluators.
 struct CachedPlan {
   std::shared_ptr<const CompiledFormula> plan;
-  std::shared_ptr<const LoweredPlan> bytecode;  // null for non-VM entries
+  std::shared_ptr<const LoweredPlan> bytecode;
   double lower_ms = 0.0;
 };
 
@@ -41,23 +40,22 @@ struct CachedPlan {
 // Plans are immutable and explicitly shareable across threads and graphs
 // (mc/compiler.h), which makes them the one compilation artefact a server
 // can safely keep warm globally; the per-graph state (memo tables, colour
-// classes) lives in each CompiledEvaluator/VmEvaluator instead.
+// classes) lives in each VmEvaluator instead.
 //
-// Keying: (formula source text, free-variable frame, engine kind,
-// eval-options fingerprint). Keying by source lets a caller that holds the
+// Keying: (formula source text, free-variable frame, eval-options
+// fingerprint). Keying by source lets a caller that holds the
 // text (the server's `evaluate` with a shipped model, `query` with a
 // sentence) find a warm plan without parsing the formula at all; the parse
 // runs only on a miss, and a failed parse inserts nothing. GetOrCompile
 // keys a parsed formula by its printed form, so a canonical text and its
 // parse share one entry. The frame is part of the key because slot
 // assignment depends on it (and because a source is validated against its
-// frame before its entry exists); the engine and options fingerprint keep
-// tree-only and tree+bytecode entries from colliding or double-counting
-// their byte budgets when a server mixes engines.
+// frame before its entry exists); the options fingerprint keeps plans
+// whose missing-colour semantics differ apart.
 //
 // Budgeting mirrors BallCache: `bytes() <= max_bytes` is a hard invariant
 // maintained by FIFO eviction, the accounting covers the plan's node and
-// string payloads, the bytecode (when present), and per-entry
+// string payloads, the bytecode, and per-entry
 // key/metadata overhead, and a single entry larger than the whole budget
 // is returned uncached (the shared_ptrs keep it alive for the caller; the
 // cache remembers only that it happened).
@@ -86,8 +84,8 @@ class PlanCache {
   void Trim(int64_t target_bytes);
 
   // Returns the cached artefacts for (ToString(formula), free_var_order,
-  // ResolveEngine(options), options fingerprint), compiling — and for the
-  // VM engine lowering — on a miss (budget permitting). Safe to call from
+  // options fingerprint), compiling and lowering on a miss (budget
+  // permitting). Safe to call from
   // any number of threads; compilation happens outside the lock, so two
   // threads racing on the same key may both compile — the first insert
   // wins and both get usable artefacts.
@@ -123,8 +121,8 @@ class PlanCache {
                              std::span<const std::string> free_var_order,
                              const EvalOptions& options);
 
-  // Full footprint of one cache entry: plan payload + bytecode payload (if
-  // any) + key string + map and FIFO bookkeeping. Exposed for tests
+  // Full footprint of one cache entry: plan payload + bytecode payload +
+  // key string + map and FIFO bookkeeping. Exposed for tests
   // asserting the budget invariant.
   static int64_t EntryBytes(const std::string& key, const CachedPlan& entry);
 

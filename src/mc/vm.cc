@@ -58,7 +58,7 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
   bool runnable = lowered.supported;
   if (runnable) {
     // The fast program scans guard colour classes directly; a graph that
-    // cannot resolve one of those names must take the tree engine, whose
+    // cannot resolve one of those names must take the plan walker, whose
     // full-scan path reproduces the interpreter's lazy missing-colour
     // semantics at the guard's original position.
     for (int32_t index : lowered.guard_colors) {

@@ -73,19 +73,19 @@ struct VmGraphIndex {
   }
 };
 
-// Executes a lowered bytecode plan (mc/bytecode.h) against one graph.
-// Drop-in peer of CompiledEvaluator with the same contract: construction
-// binds plan + bytecode to the graph (colour names resolve once, buffers
-// allocate once), then Eval serves any number of tuples. The same two-lane
-// rules apply — ungoverned, unstatted calls run the `fast` program
-// (superinstructions, guard domains, memos); calls with a governor or an
-// EvalStats sink run the `counting` program, whose counters and governor
-// cut points are byte-identical to the interpreter and the tree engine.
+// Executes a lowered bytecode plan (mc/bytecode.h) against one graph: the
+// library's fast evaluation engine (EvalEngine::kVm). Construction binds
+// plan + bytecode to the graph (colour names resolve once, buffers
+// allocate once), then Eval serves any number of tuples. Two lanes:
+// ungoverned, unstatted calls run the `fast` program (superinstructions,
+// guard domains, memos); calls with a governor or an EvalStats sink run
+// the `counting` program, whose counters and governor cut points are
+// byte-identical to the interpreter.
 //
 // Plans the lowering rejects (MSO set quantifiers, oversized programs) and
 // graphs that cannot resolve a fast-lane guard colour delegate every call
-// to an internal tree-engine fallback, so verdicts never depend on which
-// engine actually ran.
+// to an internal plan walker (mc/compiled_eval.h), so verdicts never
+// depend on which path actually ran.
 //
 // Not thread-safe: one evaluator per thread (plans and LoweredPlans may be
 // shared freely).
@@ -100,9 +100,11 @@ class VmEvaluator {
               const Graph& graph, const EvalOptions& options = {},
               std::shared_ptr<const VmGraphIndex> edge_index = nullptr);
 
-  // Decides G ⊨ φ(tuple); same signature and semantics as
-  // CompiledEvaluator::Eval. With `stats`, the VM additionally accumulates
-  // per-opcode dispatch counts into stats->vm_op_dispatches.
+  // Decides G ⊨ φ(tuple) with free slot i ↦ tuple[i]; tuple must have
+  // exactly plan.free_vars().size() entries. With `stats`, counters
+  // accumulate exactly like the interpreter's, `stats->status` is set, and
+  // the VM additionally accumulates per-opcode dispatch counts into
+  // stats->vm_op_dispatches.
   bool Eval(std::span<const Vertex> tuple, EvalStats* stats = nullptr);
 
   // Drops memoized subformula verdicts and colour-member lists (needed
@@ -111,8 +113,8 @@ class VmEvaluator {
 
   const CompiledFormula& plan() const { return plan_; }
   const LoweredPlan& lowered() const { return lowered_; }
-  // True when this evaluator delegates to the tree engine (unsupported
-  // plan or unresolved guard colour on this graph).
+  // True when this evaluator delegates to its plan-walker fallback
+  // (unsupported plan or unresolved guard colour on this graph).
   bool uses_fallback() const { return fallback_.has_value(); }
 
  private:
@@ -152,7 +154,7 @@ class VmEvaluator {
   // not count atom evaluations.
   bool RunAtoms(const VmAtom* first, int32_t count, bool disj);
 
-  // Colour-member lists with the tree engine's exact byte-budget
+  // Colour-member lists with the plan walker's exact byte-budget
   // semantics (transient marking over EvalOptions::cache_bytes, dropped at
   // the next call boundary, evictions reported monotonically).
   const std::vector<Vertex>& ColorMembers(int32_t index);

@@ -25,7 +25,6 @@
 #include "learn/hypothesis.h"
 #include "learn/model_io.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "types/type.h"
 
@@ -145,32 +144,15 @@ Status ValidateTuples(const Graph& graph, const TrainingSet& examples) {
   return OkStatus();
 }
 
-// One evaluator of whichever engine the server runs, bound to one graph.
-// Holds the plan-cache entry so the plan (and bytecode) stay alive even
-// after the shared cache evicts them. The VM lane is taken only when the
-// entry actually carries supported bytecode; anything else (tree-engine
-// server, MSO plan the lowerer rejected) runs the compiled tree.
+// One VM evaluator bound to one graph. Holds the plan-cache entry so the
+// plan and bytecode stay alive even after the shared cache evicts them.
 struct EngineEvaluator {
   CachedPlan cached;
-  std::unique_ptr<CompiledEvaluator> tree;
-  std::unique_ptr<VmEvaluator> vm;
+  VmEvaluator vm;
 
   EngineEvaluator(const CachedPlan& entry, const Graph& graph,
                   const EvalOptions& options)
-      : cached(entry) {
-    if (ResolveEngine(options) == EvalEngine::kVm &&
-        cached.bytecode != nullptr) {
-      vm = std::make_unique<VmEvaluator>(*cached.plan, *cached.bytecode,
-                                         graph, options);
-    } else {
-      tree = std::make_unique<CompiledEvaluator>(*cached.plan, graph,
-                                                 options);
-    }
-  }
-
-  bool Eval(std::span<const Vertex> tuple) {
-    return vm != nullptr ? vm->Eval(tuple) : tree->Eval(tuple);
-  }
+      : cached(entry), vm(*cached.plan, *cached.bytecode, graph, options) {}
 };
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -237,12 +219,11 @@ struct Server::Session {
     FormulaRef formula;
     // Per-model evaluation telemetry, surfaced by get-model. Wall-clock
     // only: attaching an EvalStats sink would route the hot path through
-    // the engines' slow counting lane.
+    // the VM's slow counting lane.
     int64_t evals = 0;             // example/tuple evaluations so far
     double exec_ms = 0.0;          // cumulative evaluation wall time
-    double lower_ms = 0.0;         // bytecode lowering cost (VM, once)
-    std::string engine;            // engine of the most recent evaluation
-    int64_t vm_instructions = 0;   // fast-lane program size (VM only)
+    double lower_ms = 0.0;         // bytecode lowering cost (once)
+    int64_t vm_instructions = 0;   // fast-lane program size
     int64_t vm_superinstructions = 0;
   };
   std::map<uint64_t, ModelEntry> models;  // ordered: stable listing/journal
@@ -1360,7 +1341,6 @@ Message Server::HandleEvaluate(const Message& request) {
   const std::vector<std::string> frame = header->AllVars();
   EvalOptions eval_options;
   eval_options.missing_color_is_false = true;  // external model files
-  eval_options.engine = options_.eval_engine;
   StatusOr<CachedPlan> resolved = ResolveModelPlan(
       *header, frame, eval_options,
       by_handle ? &model_entry->formula : nullptr);
@@ -1396,7 +1376,7 @@ Message Server::HandleEvaluate(const Message& request) {
     std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
     std::copy(header->parameters.begin(), header->parameters.end(),
               env.begin() + k);
-    bool verdict = evaluator->Eval(env);
+    bool verdict = evaluator->vm.Eval(env);
     if (governor.has_value() && governor->Interrupted()) break;
     if (verdict != example.label) ++wrong;
     ++seen;
@@ -1404,9 +1384,8 @@ Message Server::HandleEvaluate(const Message& request) {
   if (model_entry != nullptr) {
     model_entry->evals += seen;
     model_entry->exec_ms += MsSince(exec_start);
-    model_entry->engine = EvalEngineName(ResolveEngine(eval_options));
     model_entry->lower_ms = cached.lower_ms;
-    if (cached.bytecode != nullptr && cached.bytecode->supported) {
+    if (cached.bytecode->supported) {
       model_entry->vm_instructions =
           static_cast<int64_t>(cached.bytecode->fast.code.size());
       model_entry->vm_superinstructions = cached.bytecode->superinstructions;
@@ -1496,8 +1475,7 @@ Message Server::HandleQuery(const Message& request) {
     }
     EvalOptions eval_options;
     eval_options.missing_color_is_false = true;
-    eval_options.engine = options_.eval_engine;
-    StatusOr<CachedPlan> resolved = ResolveModelPlan(
+      StatusOr<CachedPlan> resolved = ResolveModelPlan(
         *header, header->AllVars(), eval_options, &it->second.formula);
     if (!resolved.ok()) return JournaledModelError(model_id, resolved.status());
     const CachedPlan& cached = *resolved;
@@ -1518,13 +1496,12 @@ Message Server::HandleQuery(const Message& request) {
       evaluator = session.WarmEvaluator(cached, eval_options);
     }
     const auto exec_start = std::chrono::steady_clock::now();
-    bool verdict = evaluator->Eval(env);
+    bool verdict = evaluator->vm.Eval(env);
     Session::ModelEntry& entry = it->second;
     entry.evals += 1;
     entry.exec_ms += MsSince(exec_start);
-    entry.engine = EvalEngineName(ResolveEngine(eval_options));
     entry.lower_ms = cached.lower_ms;
-    if (cached.bytecode != nullptr && cached.bytecode->supported) {
+    if (cached.bytecode->supported) {
       entry.vm_instructions =
           static_cast<int64_t>(cached.bytecode->fast.code.size());
       entry.vm_superinstructions = cached.bytecode->superinstructions;
@@ -1550,7 +1527,6 @@ Message Server::HandleQuery(const Message& request) {
   // any entry exists, so a hit implies it passed.
   EvalOptions eval_options;
   eval_options.missing_color_is_false = true;
-  eval_options.engine = options_.eval_engine;
   StatusOr<CachedPlan> resolved = plan_cache_.GetOrCompileSource(
       *sentence_text, {}, eval_options, [&]() -> StatusOr<FormulaRef> {
         BumpStat(&ServerStats::model_parses);
@@ -1589,7 +1565,7 @@ Message Server::HandleQuery(const Message& request) {
     // evaluator answers without touching the graph again.
     evaluator = session.WarmEvaluator(cached, eval_options);
   }
-  bool verdict = evaluator->Eval({});
+  bool verdict = evaluator->vm.Eval({});
 
   Message response = MakeOk();
   if (governor.has_value() && governor->Interrupted()) {
@@ -1629,13 +1605,10 @@ Message Server::HandleGetModel(const Message& request) {
   Message response = MakeOk();
   response.Set("model-id", std::to_string(model_id));
   response.Set("model", entry.text);
-  // Evaluation telemetry accumulated by evaluate/query on this handle.
-  // `engine` is the engine of the most recent evaluation (the server
-  // default before any); lower-ms and the vm-* fields stay 0 unless the
-  // handle has run through the bytecode VM.
-  response.Set("engine", entry.engine.empty()
-                             ? EvalEngineName(options_.eval_engine)
-                             : entry.engine.c_str());
+  // Evaluation telemetry accumulated by evaluate/query on this handle
+  // (`engine` is always the VM; lower-ms and the vm-* fields stay 0 until
+  // the handle's first evaluation).
+  response.Set("engine", EvalEngineName(EvalEngine::kVm));
   response.Set("evals", std::to_string(entry.evals));
   response.Set("exec-ms", FormatDouble(entry.exec_ms));
   response.Set("lower-ms", FormatDouble(entry.lower_ms));
@@ -1691,7 +1664,7 @@ Message Server::HandleStats(const Message& request) {
   response.Set("model-parses", std::to_string(stats.model_parses));
   response.Set("plan-bytes", std::to_string(plan_cache_.bytes()));
   response.Set("inflight", std::to_string(stats.inflight));
-  response.Set("eval-engine", EvalEngineName(options_.eval_engine));
+  response.Set("eval-engine", EvalEngineName(EvalEngine::kVm));
   // Memory governance: the current tier, its counters, and the gauges the
   // watchdog published at its last tick (rss/mem-used are refreshed here
   // so `stats` is accurate even between ticks).

@@ -31,11 +31,9 @@ struct HypothesisHeader;
 //
 //   * the session's TypeRegistry (canonical TypeIds across learns),
 //   * a byte-budgeted BallCache bound to the session graph,
-//   * per-session warm evaluators (per-graph memo tables, bytecode VM or
-//     compiled tree per ServerOptions::eval_engine),
+//   * per-session warm bytecode-VM evaluators (per-graph memo tables),
 //   * a process-wide PlanCache of compiled plans and lowered bytecode
-//     (shared across sessions — both are graph-independent; entries are
-//     keyed by engine + options so tree and VM plans never collide), and
+//     (shared across sessions — both are graph-independent), and
 //   * registered *model handles*: every learn registers its hypothesis
 //     under a session-scoped model-id, so evaluate/query can reference
 //     the already-parsed model instead of shipping its text every time.
@@ -113,11 +111,6 @@ struct ServerOptions {
   int64_t ball_cache_bytes = 32 << 20;
   // Byte budget of the shared compiled-plan cache.
   int64_t plan_cache_bytes = 8 << 20;
-  // Evaluation engine for evaluate/query requests (learn goes through the
-  // type-majority path and never touches it). Every engine produces
-  // identical verdicts; kVm is the fast default, kCompiled the tree
-  // engine, kInterpreted the reference oracle.
-  EvalEngine eval_engine = EvalEngine::kVm;
   // Bound of the per-session learn dedup window (journaled with it).
   int dedup_window = 64;
   // listen(2) backlog.

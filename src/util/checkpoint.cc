@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/mem_budget.h"
@@ -50,7 +51,12 @@ bool ParseInt64(std::string_view text, int64_t* value) {
   int64_t result = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
-    result = result * 10 + (c - '0');
+    const int digit = c - '0';
+    // 19 digits can exceed INT64_MAX; refuse before the multiply overflows.
+    if (result > (std::numeric_limits<int64_t>::max() - digit) / 10) {
+      return false;
+    }
+    result = result * 10 + digit;
   }
   *value = result;
   return true;

@@ -133,6 +133,42 @@ TEST(CheckpointEnvelope, VersionSkewNamesBothVersions) {
   EXPECT_NE(read.status().message().find("v1"), std::string::npos);
 }
 
+// The length field carries up to 19 digits, but 19-digit values above
+// INT64_MAX must be refused as malformed instead of overflowing the parse.
+TEST(CheckpointEnvelope, LengthAboveInt64MaxIsMalformed) {
+  const std::string path = TempPath("length.ckpt");
+  ASSERT_TRUE(WriteCheckpointFile(path, "payload").ok());
+  StatusOr<std::string> full = ReadFileToString(path);
+  ASSERT_TRUE(full.ok());
+  const size_t start = full->find("\nlength ");
+  ASSERT_NE(start, std::string::npos);
+  const size_t digits = start + 8;
+  const size_t end = full->find('\n', digits);
+  ASSERT_NE(end, std::string::npos);
+  const auto with_length = [&](const std::string& length) {
+    std::string forged = *full;
+    forged.replace(digits, end - digits, length);
+    EXPECT_TRUE(WriteFileAtomic(path, forged).ok());
+    return ReadCheckpointFile(path);
+  };
+
+  // INT64_MAX itself parses; the payload then fails the length check.
+  StatusOr<std::string> at_max = with_length("9223372036854775807");
+  ASSERT_FALSE(at_max.ok());
+  EXPECT_NE(at_max.status().message().find("header promises"),
+            std::string::npos)
+      << at_max.status().message();
+
+  for (const char* length : {"9223372036854775808", "9999999999999999999"}) {
+    StatusOr<std::string> read = with_length(length);
+    ASSERT_FALSE(read.ok()) << length;
+    EXPECT_EQ(StatusExitCode(read.status()), 65) << length;
+    EXPECT_NE(read.status().message().find("malformed length"),
+              std::string::npos)
+        << read.status().message();
+  }
+}
+
 TEST(WriteFileAtomic, FailureLeavesOriginalUntouched) {
   const std::string path = TempPath("no-such-dir") + "/file.txt";
   Status status = WriteFileAtomic(path, "content");

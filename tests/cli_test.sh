@@ -54,22 +54,55 @@ reduced=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" \
 [ "$direct" = "true" ]
 [ "$direct" = "$reduced" ]
 
-# 5b. All three engines agree — the interpreted reference oracle and the
-#     compiled tree match the VM default, for both eval and mc; a bad
-#     --eval value exits 64.
-for engine in interpreted compiled vm; do
+# 5b. Both engines agree — the interpreted reference oracle matches the VM
+#     default, for both eval and mc; any other --eval value (such as
+#     'compiled') exits 64.
+for engine in interpreted vm; do
   "$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
       --model "$DIR/m.txt" --eval "$engine" | grep -q 'error: 0.0000'
   verdict=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" \
       --eval "$engine" || true)
   [ "$verdict" = "$direct" ]
 done
+for bad in fast compiled; do
+  rc=0
+  "$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" \
+      --eval "$bad" 2> "$DIR/badeval.log" || rc=$?
+  [ "$rc" -eq 64 ]
+  grep -q "\-\-eval must be 'vm' or 'interpreted', got '$bad'" \
+      "$DIR/badeval.log"
+done
+
+# 5c. A colour the graph does not have is an empty class on both engines,
+#     never an abort: a sentence over it is false (exit 2) or true (exit 0),
+#     and a model over it evaluates (exit 0) — every example whose label
+#     needs the colour is misclassified.
+echo "hypothesis k 1 ell 0" > "$DIR/blue.txt"
+echo "formula Blue(x1)" >> "$DIR/blue.txt"
+for engine in interpreted vm; do
+  rc=0
+  out=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Blue(x)" \
+      --eval "$engine") || rc=$?
+  [ "$rc" -eq 2 ]
+  [ "$out" = "false" ]
+  out=$("$CLI" mc --graph "$DIR/g.txt" \
+      --sentence "forall x. (!Blue(x) | Red(x))" --eval "$engine")
+  [ "$out" = "true" ]
+  rc=0
+  out=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+      --model "$DIR/blue.txt" --eval "$engine") || rc=$?
+  [ "$rc" -eq 0 ]
+  echo "$out" | grep -q '^error: '
+done
+
+# 5d. A model header whose k + ell exceeds the frame bound is malformed
+#     input (exit 65), not an allocation of billions of variables.
+printf 'hypothesis k 2000000000 ell 0\nformula true\n' > "$DIR/huge.txt"
 rc=0
-"$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" \
-    --eval fast 2> "$DIR/badeval.log" || rc=$?
-[ "$rc" -eq 64 ]
-grep -q "\-\-eval must be 'vm', 'compiled', or 'interpreted'" \
-    "$DIR/badeval.log"
+"$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+    --model "$DIR/huge.txt" 2> "$DIR/huge.log" || rc=$?
+[ "$rc" -eq 65 ]
+grep -q 'k + ell exceeds' "$DIR/huge.log"
 
 # 6. Profile prints the invariants table.
 "$CLI" profile --graph "$DIR/g.txt" --radius 2 | grep -q 'degeneracy'

@@ -115,7 +115,9 @@ TEST(CorruptInput, OutOfRangeNumbersAreParseErrors) {
   for (const char* text :
        {"hypothesis k 1 ell 0\nformula exists>=99999999999 x. Red(x)\n",
         "hypothesis k 1 ell 1\nparams 99999999999\nformula Red(x1)\n",
-        "hypothesis k 4294967297 ell 0\nformula Red(x1)\n"}) {
+        "hypothesis k 4294967297 ell 0\nformula Red(x1)\n",
+        // In range for int, but k + ell is bounded before the frame exists.
+        "hypothesis k 2000000000 ell 0\nformula true\n"}) {
     StatusOr<Hypothesis> hypothesis = ParseHypothesis(text);
     ASSERT_FALSE(hypothesis.ok()) << text;
     EXPECT_EQ(hypothesis.status().code(), StatusCode::kInvalidArgument);

@@ -6,7 +6,6 @@
 #include "graph/generators.h"
 #include "learn/counting_erm.h"
 #include "learn/erm.h"
-#include "mc/bottom_up.h"
 #include "mc/evaluator.h"
 #include "types/counting_type.h"
 #include "util/rng.h"
@@ -77,29 +76,6 @@ TEST(CountingEvaluator, ThresholdOverTrueCountsVertices) {
   FormulaRef at_least_4 = Formula::CountExists(4, "z", Formula::True());
   EXPECT_FALSE(EvaluateSentence(MakePath(3), at_least_4));
   EXPECT_TRUE(EvaluateSentence(MakePath(4), at_least_4));
-}
-
-TEST(CountingEvaluator, BottomUpAgrees) {
-  Rng rng(71);
-  Graph g = MakeErdosRenyi(8, 0.35, rng);
-  AddRandomColors(g, {"Red"}, 0.5, rng);
-  const char* formulas[] = {
-      "exists>=2 z. E(x1, z)",
-      "exists>=2 z. (E(x1, z) & Red(z))",
-      "exists>=3 z. !E(x1, z)",
-      "exists>=2 z. exists>=2 w. (E(z, w) & E(x1, z))",
-  };
-  std::string vars[] = {"x1"};
-  for (const char* text : formulas) {
-    FormulaRef f = MustParseFormula(text);
-    Relation relation = EvaluateBottomUp(g, f);
-    for (Vertex v = 0; v < g.order(); ++v) {
-      Vertex tuple[] = {v};
-      Assignment assignment(vars, tuple);
-      EXPECT_EQ(Evaluate(g, f, assignment), relation.Contains(assignment))
-          << text << " v=" << v;
-    }
-  }
 }
 
 TEST(CountingEvaluator, RelativizedCountingCountsBallOnly) {

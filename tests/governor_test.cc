@@ -17,7 +17,6 @@
 #include "learn/nd_learner.h"
 #include "learn/sublinear.h"
 #include "learn/vc.h"
-#include "mc/bottom_up.h"
 #include "mc/evaluator.h"
 #include "util/governor.h"
 #include "util/rng.h"
@@ -376,35 +375,6 @@ TEST(GovernedEvaluator, CompleteWithinBudgetMatchesUngoverned) {
   bool governed = EvaluateSentence(g, f, options, &stats);
   EXPECT_EQ(stats.status, RunStatus::kComplete);
   EXPECT_EQ(governed, plain);
-}
-
-TEST(GovernedBottomUp, GenerousBudgetMatchesUngoverned) {
-  Graph g = MakeCycle(5);
-  FormulaRef f = MustParseFormula("exists y. (E(x1, y) & E(y, x2))");
-  Relation plain = EvaluateBottomUp(g, f);
-  GovernorLimits limits;
-  limits.max_work = 1000000;
-  ResourceGovernor governor(limits);
-  EvalOptions options;
-  options.governor = &governor;
-  EvalStats stats;
-  Relation governed = EvaluateBottomUp(g, f, options, &stats);
-  EXPECT_EQ(stats.status, RunStatus::kComplete);
-  EXPECT_EQ(governed.vars, plain.vars);
-  EXPECT_EQ(governed.rows, plain.rows);
-}
-
-TEST(GovernedBottomUp, TinyBudgetReportsInterruption) {
-  Graph g = MakeCycle(8);
-  FormulaRef f = MustParseFormula("exists y. (E(x1, y) & E(y, x2))");
-  GovernorLimits limits;
-  limits.max_work = 2;
-  ResourceGovernor governor(limits);
-  EvalOptions options;
-  options.governor = &governor;
-  EvalStats stats;
-  EvaluateBottomUp(g, f, options, &stats);
-  EXPECT_EQ(stats.status, RunStatus::kBudgetExhausted);
 }
 
 // --- Governed hardness reduction ---------------------------------------

@@ -19,7 +19,6 @@
 #include "learn/nd_learner.h"
 #include "learn/pac.h"
 #include "learn/sublinear.h"
-#include "mc/bottom_up.h"
 #include "mc/evaluator.h"
 #include "util/rng.h"
 
@@ -126,22 +125,28 @@ TEST(Integration, DatabaseLearningMatchesIntendedQuery) {
   EXPECT_EQ(learned.training_error, 0.0);
 }
 
-// Pipeline 5: query answering via bottom-up MC matches labelling via the
-// recursive evaluator, and the ERM learner reproduces the answer set.
+// Pipeline 5: query answering on the reference interpreter matches
+// labelling on the VM, and the ERM learner reproduces the answer set.
 TEST(Integration, QueryAnsweringAndLearningAgree) {
   Rng rng(7004);
   Graph g = MakeRandomTree(35, rng);
   AddRandomColors(g, {"Red"}, 0.35, rng);
   FormulaRef query = MustParseFormula("exists z. (E(x1, z) & Red(z))");
 
-  // Answer set via bottom-up evaluation.
-  std::vector<std::vector<Vertex>> answers = AnswerQuery(g, query, {"x1"});
+  // Answer set via the reference interpreter.
+  const std::vector<std::vector<Vertex>> tuples = AllTuples(g.order(), 1);
+  EvalOptions interpreted;
+  interpreted.engine = EvalEngine::kInterpreted;
+  const std::vector<bool> verdicts =
+      EvaluateOnTuples(g, query, QueryVars(1), tuples, interpreted);
   std::set<Vertex> answer_set;
-  for (const auto& row : answers) answer_set.insert(row[0]);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (verdicts[i]) answer_set.insert(tuples[i][0]);
+  }
 
-  // Labels via the recursive evaluator.
+  // Labels via the VM.
   TrainingSet examples =
-      LabelByQuery(g, query, QueryVars(1), AllTuples(g.order(), 1));
+      LabelByQuery(g, query, QueryVars(1), tuples);
   for (const LabeledExample& example : examples) {
     EXPECT_EQ(example.label, answer_set.count(example.tuple[0]) > 0);
   }

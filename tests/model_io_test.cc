@@ -94,7 +94,8 @@ TEST(HypothesisIo, SplitAndFullParseReportIdenticalHeaderErrors) {
         "hypothesis k one ell 0\nformula Red(x1)",
         "hypothesis k 1 ell 0\nparams x\nformula Red(x1)",
         "hypothesis k 1 ell 0\nlabel 3\nformula Red(x1)",
-        "hypothesis k 1 ell 0\nformula Red(x1)\nformula Red(x1)"}) {
+        "hypothesis k 1 ell 0\nformula Red(x1)\nformula Red(x1)",
+        "hypothesis k 2000000000 ell 0\nformula true"}) {
     StatusOr<HypothesisHeader> header = SplitHypothesisText(text);
     ASSERT_FALSE(header.ok()) << text;
     std::string error;
@@ -109,6 +110,31 @@ TEST(HypothesisIo, SplitAndFullParseReportIdenticalHeaderErrors) {
   ASSERT_FALSE(formula.ok());
   EXPECT_EQ(formula.status().message(),
             "formula uses unknown free variable 'zz'");
+}
+
+// k + ell sizes the variable frame before anything else is read, so the
+// header is bounded: a one-line model must not be able to demand a
+// two-billion-variable frame.
+TEST(HypothesisIo, HeaderArityIsBounded) {
+  const std::string at_bound =
+      "hypothesis k " + std::to_string(kMaxHypothesisVars) + " ell 0\n" +
+      "formula true\n";
+  EXPECT_TRUE(SplitHypothesisText(at_bound).ok());
+  for (const std::string& text :
+       {"hypothesis k " + std::to_string(kMaxHypothesisVars + 1) +
+            " ell 0\nformula true\n",
+        "hypothesis k " + std::to_string(kMaxHypothesisVars) +
+            " ell 1\nparams 0\nformula true\n",
+        std::string("hypothesis k 2000000000 ell 0\nformula true\n"),
+        std::string("hypothesis k 2147483647 ell 2147483647\n"
+                    "formula true\n")}) {
+    StatusOr<Hypothesis> parsed = ParseHypothesis(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(StatusExitCode(parsed.status()), 65) << text;
+    EXPECT_NE(parsed.status().message().find("exceeds"), std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(HypothesisIo, RoundTripWithParameters) {

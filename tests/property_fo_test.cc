@@ -8,7 +8,7 @@
 #include "fo/printer.h"
 #include "fo/transform.h"
 #include "graph/algorithms.h"
-#include "mc/bottom_up.h"
+#include "learn/dataset.h"
 #include "mc/evaluator.h"
 #include "test_helpers.h"
 
@@ -39,7 +39,7 @@ TEST_P(RoundTripProperty, PrintParsePrintIsFixedPoint) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// --- Recursive vs bottom-up evaluation ------------------------------------------
+// --- Reference interpreter vs VM ----------------------------------------------
 
 struct EvalEquivalenceParam {
   GraphFamily family;
@@ -49,20 +49,21 @@ struct EvalEquivalenceParam {
 class EvalEquivalenceProperty
     : public ::testing::TestWithParam<EvalEquivalenceParam> {};
 
-TEST_P(EvalEquivalenceProperty, RecursiveMatchesBottomUp) {
+TEST_P(EvalEquivalenceProperty, InterpreterMatchesVm) {
   Rng rng(GetParam().seed);
   Graph g = MakeFamilyGraph(GetParam().family, 7, rng);
   AddRandomColors(g, {"Red"}, 0.5, rng);
   std::string vars[] = {"x1"};
+  const std::vector<std::vector<Vertex>> tuples = AllTuples(g.order(), 1);
   for (int i = 0; i < 25; ++i) {
     FormulaRef f = RandomFormula(rng, {"x1"}, {"Red"},
                                  /*quantifier_budget=*/2, /*depth=*/4,
                                  /*allow_counting=*/true);
-    Relation relation = EvaluateBottomUp(g, f);
+    const std::vector<bool> vm = EvaluateOnTuples(g, f, vars, tuples);
     for (Vertex v = 0; v < g.order(); ++v) {
       Vertex tuple[] = {v};
       Assignment assignment(vars, tuple);
-      ASSERT_EQ(Evaluate(g, f, assignment), relation.Contains(assignment))
+      ASSERT_EQ(Evaluate(g, f, assignment), vm[v])
           << ToString(f) << " at v=" << v;
     }
   }

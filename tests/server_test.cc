@@ -170,7 +170,7 @@ TEST(PlanCacheTest, HitsAndBudgetInvariant) {
   CachedPlan second = cache.GetOrCompile(sentence, {}, options);
   EXPECT_EQ(first.plan.get(), second.plan.get());
   EXPECT_EQ(first.bytecode.get(), second.bytecode.get());
-  EXPECT_NE(first.bytecode, nullptr);  // default engine is the VM
+  EXPECT_NE(first.bytecode, nullptr);  // every entry carries bytecode
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
   // Distinct formulas fill the budget; the invariant holds throughout.
@@ -181,36 +181,6 @@ TEST(PlanCacheTest, HitsAndBudgetInvariant) {
     ASSERT_LE(cache.bytes(), cache.max_bytes());
   }
   EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(PlanCacheTest, EngineKeyedEntriesDoNotCollide) {
-  PlanCache cache;
-  FormulaRef sentence = MustParseFormula("exists x. E(x, x)");
-  EvalOptions vm;
-  vm.engine = EvalEngine::kVm;
-  EvalOptions tree;
-  tree.engine = EvalEngine::kCompiled;
-  CachedPlan vm_entry = cache.GetOrCompile(sentence, {}, vm);
-  CachedPlan tree_entry = cache.GetOrCompile(sentence, {}, tree);
-  // Same formula, different engines: two distinct entries, the VM one
-  // carrying bytecode, the tree one not — neither evicts or shadows the
-  // other, and each is billed its own bytes.
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.entries(), 2);
-  EXPECT_NE(vm_entry.plan.get(), tree_entry.plan.get());
-  EXPECT_NE(vm_entry.bytecode, nullptr);
-  EXPECT_EQ(tree_entry.bytecode, nullptr);
-  // An options fingerprint change is a distinct entry too.
-  EvalOptions vm_mcf = vm;
-  vm_mcf.missing_color_is_false = true;
-  cache.GetOrCompile(sentence, {}, vm_mcf);
-  EXPECT_EQ(cache.misses(), 3);
-  EXPECT_EQ(cache.entries(), 3);
-  // Repeats of every variant hit.
-  cache.GetOrCompile(sentence, {}, vm);
-  cache.GetOrCompile(sentence, {}, tree);
-  cache.GetOrCompile(sentence, {}, vm_mcf);
-  EXPECT_EQ(cache.hits(), 3);
 }
 
 TEST(PlanCacheTest, OversizePlanServedUncached) {
@@ -277,23 +247,22 @@ TEST(PlanCacheTest, FailedSourceParseInsertsNothing) {
   EXPECT_EQ(cache.hits(), 0);
 }
 
-TEST(PlanCacheTest, SourceKeyCoversFrameAndEngine) {
+TEST(PlanCacheTest, SourceKeyCoversFrameAndOptions) {
   PlanCache cache;
   const std::string source = "E(x1, x1)";
   int calls = 0;
   const std::vector<std::string> narrow = {"x1"};
   const std::vector<std::string> wide = {"x1", "y1"};
   EvalOptions vm;
-  vm.engine = EvalEngine::kVm;
-  EvalOptions tree;
-  tree.engine = EvalEngine::kCompiled;
+  EvalOptions vm_mcf;
+  vm_mcf.missing_color_is_false = true;
   ASSERT_TRUE(cache.GetOrCompileSource(source, narrow, vm,
                                        CountingParser(source, &calls))
                   .ok());
   ASSERT_TRUE(cache.GetOrCompileSource(source, wide, vm,
                                        CountingParser(source, &calls))
                   .ok());
-  ASSERT_TRUE(cache.GetOrCompileSource(source, narrow, tree,
+  ASSERT_TRUE(cache.GetOrCompileSource(source, narrow, vm_mcf,
                                        CountingParser(source, &calls))
                   .ok());
   EXPECT_EQ(calls, 3);

@@ -233,22 +233,26 @@ int GetNonNegativeInt(const Args& args, const char* key, int fallback) {
   return value;
 }
 
-// Parses --eval vm|compiled|interpreted (default vm) into
-// EvalOptions::engine. Verdicts, stats, and governor cut points are
-// identical in all three modes; the interpreter is the slow reference
-// oracle, the compiled tree the mid lane, and the bytecode VM the
-// default. Exits 64 on any other value.
-EvalEngine GetEvalEngine(const Args& args) {
+// Evaluation options shared by eval and mc. --eval vm|interpreted
+// (default vm) picks the engine: verdicts, stats, and governor cut points
+// are identical in both modes; the bytecode VM is the default and the
+// interpreter the slow reference oracle. Exits 64 on any other value. A
+// colour missing from the graph's vocabulary denotes an empty class (as in
+// folearnd), so a model or sentence naming one never reaches a CHECK.
+EvalOptions GetEvalOptions(const Args& args, ResourceGovernor* governor) {
   std::string mode = args.Get("eval", "vm");
   std::optional<EvalEngine> engine = ParseEvalEngine(mode);
   if (!engine.has_value()) {
-    std::fprintf(
-        stderr,
-        "--eval must be 'vm', 'compiled', or 'interpreted', got '%s'\n",
-        mode.c_str());
+    std::fprintf(stderr, "--eval must be 'vm' or 'interpreted', got '%s'\n",
+                 mode.c_str());
     std::exit(64);
   }
-  return *engine;
+  EvalOptions options;
+  options.engine = *engine;
+  options.governor = governor;
+  options.cache_bytes = GetCacheBytes(args);
+  options.missing_color_is_false = true;
+  return options;
 }
 
 // Worker threads for the parallel sweeps (0 = hardware concurrency).
@@ -580,11 +584,8 @@ int CmdEval(const Args& args, ResourceGovernor* governor) {
   StatusOr<Hypothesis> hypothesis =
       LoadHypothesisFile(GetRequiredPath(args, "model"));
   if (!hypothesis.ok()) DieStatus(hypothesis.status());
-  EvalOptions eval_options;
-  eval_options.governor = governor;
-  eval_options.engine = GetEvalEngine(args);
-  eval_options.cache_bytes = GetCacheBytes(args);
-  double err = TrainingError(graph, *hypothesis, data, eval_options);
+  double err = TrainingError(graph, *hypothesis, data,
+                             GetEvalOptions(args, governor));
   std::printf("error: %.4f on %zu examples\n", err, data.size());
   if (GovernorInterrupted(governor)) {
     ReportInterruption(*governor);
@@ -616,11 +617,7 @@ int CmdMc(const Args& args, ResourceGovernor* governor) {
                  stats.max_representatives,
                  static_cast<long long>(stats.recursion_nodes));
   } else {
-    EvalOptions eval_options;
-    eval_options.governor = governor;
-    eval_options.engine = GetEvalEngine(args);
-    eval_options.cache_bytes = GetCacheBytes(args);
-    value = EvaluateSentence(graph, *sentence, eval_options);
+    value = EvaluateSentence(graph, *sentence, GetEvalOptions(args, governor));
   }
   if (GovernorInterrupted(governor)) {
     // The truth value is unspecified once the evaluation was cut short —
@@ -681,9 +678,10 @@ int Usage() {
       "           either format, sniffed by content)\n"
       "every command accepts [--timeout-ms T] [--max-work W] and\n"
       "[--threads N] (0 = all cores; results are identical for any N);\n"
-      "eval and mc also accept [--eval vm|compiled|interpreted] (default\n"
-      "vm; results are identical, interpreted is the reference oracle,\n"
-      "vm is the bytecode engine); a run cut short emits best-so-far\n"
+      "eval and mc also accept [--eval vm|interpreted] (default vm, the\n"
+      "bytecode engine; results are identical, interpreted is the\n"
+      "reference oracle; colours missing from the graph denote empty\n"
+      "classes); a run cut short emits best-so-far\n"
       "and exits 3; SIGINT/SIGTERM take the same path (best-so-far model\n"
       "+ final checkpoint, exit 3). learn --checkpoint persists the\n"
       "search frontier so a killed run can be continued with --resume\n"

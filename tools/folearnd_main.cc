@@ -46,7 +46,7 @@ int Usage() {
       "usage: folearnd --socket <path> [--max-inflight N]\n"
       "                [--max-deadline-ms N] [--max-work N]\n"
       "                [--cache-bytes N] [--plan-cache-bytes N]\n"
-      "                [--eval vm|compiled] [--state-dir DIR]\n"
+      "                [--state-dir DIR]\n"
       "                [--session-ttl-ms N] [--dedup-window N]\n"
       "                [--crash-at-journal-write N]\n"
       "                [--mem-budget-bytes N] [--session-mem-bytes N]\n"
@@ -54,9 +54,8 @@ int Usage() {
       "                [--journal-compact-bytes N] [--force-tier 0..3]\n"
       "\n"
       "Serves folearn learn/evaluate/query requests on a local socket.\n"
-      "--eval picks the evaluation engine for evaluate/query (default\n"
-      "vm: compiled plans lowered to bytecode; verdicts are identical in\n"
-      "both modes).\n"
+      "evaluate/query run on the bytecode VM (compiled plans lowered to\n"
+      "bytecode, cached across sessions).\n"
       "--max-inflight caps concurrently executing requests (excess is\n"
       "shed, not queued); --max-deadline-ms/--max-work cap per-request\n"
       "governor limits; --cache-bytes budgets each session's ball cache\n"
@@ -108,7 +107,7 @@ int Main(int argc, char** argv) {
     if (key != "socket" && key != "max-inflight" &&
         key != "max-deadline-ms" && key != "max-work" &&
         key != "cache-bytes" && key != "plan-cache-bytes" &&
-        key != "eval" && key != "state-dir" && key != "session-ttl-ms" &&
+        key != "state-dir" && key != "session-ttl-ms" &&
         key != "dedup-window" && key != "crash-at-journal-write" &&
         key != "mem-budget-bytes" && key != "session-mem-bytes" &&
         key != "mem-watchdog-ms" && key != "max-session-models" &&
@@ -184,18 +183,6 @@ int Main(int argc, char** argv) {
       return 64;
     }
     options.dedup_window = static_cast<int>(n);
-  }
-  if (flags.count("eval") != 0) {
-    // The daemon's warm-evaluator architecture is built on the compiled
-    // engines; the interpreter has no per-graph state worth keeping warm,
-    // so it is not offered here (the CLI has it as the reference oracle).
-    std::optional<EvalEngine> engine = ParseEvalEngine(flags["eval"]);
-    if (!engine.has_value() || *engine == EvalEngine::kInterpreted) {
-      std::fprintf(stderr, "--eval must be 'vm' or 'compiled', got '%s'\n",
-                   flags["eval"].c_str());
-      return 64;
-    }
-    options.eval_engine = *engine;
   }
   if (flags.count("crash-at-journal-write") != 0) {
     options.crash_at_journal_write =
