@@ -1,11 +1,10 @@
 #include "learn/erm.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
-
-#include <deque>
 
 #include "learn/search_state.h"
 #include "mc/bytecode.h"
@@ -16,22 +15,25 @@
 
 namespace folearn {
 
-ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
-                          std::span<const Vertex> parameters,
-                          const ErmOptions& options,
-                          std::shared_ptr<TypeRegistry> registry) {
-  if (registry == nullptr) {
-    registry = std::make_shared<TypeRegistry>(graph.vocabulary());
-  }
-  const int radius = options.EffectiveRadius();
+namespace {
 
+// The per-type majority vote for one parameter tuple w̄. `type_of(i,
+// v̄_i·w̄)` supplies the local type of example i joined with w̄, interned
+// in `registry`; everything else — governor checkpoints, label counting,
+// the vote and the error — is the same for every caller.
+template <typename TypeOf>
+ErmResult MajorityVote(const TrainingSet& examples,
+                       std::span<const Vertex> parameters,
+                       const ErmOptions& options,
+                       std::shared_ptr<TypeRegistry> registry,
+                       TypeOf&& type_of) {
   ErmResult result;
   result.parameter_tuples_tried = 1;
   TypeSetHypothesis& h = result.hypothesis;
   h.rank = options.rank;
-  h.radius = radius;
+  h.radius = options.EffectiveRadius();
   h.parameters.assign(parameters.begin(), parameters.end());
-  h.registry = registry;
+  h.registry = std::move(registry);
   h.k = examples.empty() ? 0 : static_cast<int>(examples[0].tuple.size());
 
   // Count labels per local type of v̄w̄. Checkpoint per type computation;
@@ -40,13 +42,13 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
   int64_t seen = 0;
   std::vector<Vertex> combined;
   combined.reserve(static_cast<size_t>(h.k) + parameters.size());
-  for (const LabeledExample& example : examples) {
+  for (size_t i = 0; i < examples.size(); ++i) {
+    const LabeledExample& example = examples[i];
     if (!GovernorCheckpoint(options.governor)) break;
     FOLEARN_CHECK_EQ(static_cast<int>(example.tuple.size()), h.k);
     combined.assign(example.tuple.begin(), example.tuple.end());
     combined.insert(combined.end(), parameters.begin(), parameters.end());
-    TypeId type = ComputeLocalType(graph, combined, options.rank, radius,
-                                   registry.get(), options.ball_cache);
+    const TypeId type = type_of(i, std::span<const Vertex>(combined));
     ++seen;
     auto& entry = counts[type];
     if (example.label) {
@@ -77,6 +79,25 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
     result.training_error = examples.empty() ? 0.0 : 1.0;
   }
   return result;
+}
+
+}  // namespace
+
+ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
+                          std::span<const Vertex> parameters,
+                          const ErmOptions& options,
+                          std::shared_ptr<TypeRegistry> registry) {
+  if (registry == nullptr) {
+    registry = std::make_shared<TypeRegistry>(graph.vocabulary());
+  }
+  TypeRegistry* types = registry.get();
+  return MajorityVote(
+      examples, parameters, options, std::move(registry),
+      [&](size_t, std::span<const Vertex> combined) {
+        return ComputeLocalType(graph, combined, options.rank,
+                                options.EffectiveRadius(), types,
+                                options.ball_cache);
+      });
 }
 
 namespace {
@@ -161,18 +182,58 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
   }
 
   // Evaluate candidate errors over the budgeted range. Workers share
-  // nothing mutable: each lazily builds its own registry shard and ball
-  // cache; the governor is only polled read-only for deadline/cancellation.
-  // The hypotheses built here are discarded — only (error, index) feeds the
-  // reduction — so shard-local TypeIds never leak into the result. This is
-  // also what makes checkpoints tiny: no shard, cache, or registry state
-  // needs to survive a crash, only the scan frontier.
+  // nothing mutable: each lazily builds its own registry shard, composer
+  // and ball cache; the governor is only polled read-only for
+  // deadline/cancellation. The hypotheses built here are discarded — only
+  // (error, index) feeds the reduction — so shard-local TypeIds never leak
+  // into the result. This is also what makes checkpoints tiny: no shard,
+  // cache, or registry state needs to survive a crash, only the scan
+  // frontier.
+  //
+  // Far/near split: when no entry of w̄ lies in N_{2r+1}(v̄), the r-balls
+  // of v̄ and w̄ are disjoint and not adjacent, so ltp(v̄w̄) is composed
+  // from ltp(v̄) and ltp(w̄) (TypeComposer) — each computed once per worker
+  // and candidate respectively — instead of from the ball of v̄w̄. Near
+  // pairs are computed directly. Composition is exact, so each candidate's
+  // error is the one TypeMajorityErm reports for it.
   const int workers = EffectiveThreads(options.threads);
-  std::vector<std::shared_ptr<TypeRegistry>> shards(workers);
-  std::vector<std::unique_ptr<BallCache>> caches(workers);
+  const int radius = options.EffectiveRadius();
+  const int k = m == 0 ? 0 : static_cast<int>(examples[0].tuple.size());
+  const bool composable =
+      int64_t{k} + ell + options.rank <= TypeComposer::kMaxArity;
+  // N_{2r+1}(v̄_i) per example, sorted: read-only, shared by every worker.
+  // No distance exceeds the order, so the radius is clamped to it.
+  const int near_radius = static_cast<int>(
+      std::min<int64_t>(2 * int64_t{radius} + 1, graph.order()));
+  std::vector<std::vector<Vertex>> near(composable ? m : 0);
+  int64_t near_bytes = 0;
+  if (composable) {
+    BallCollector collector(graph);
+    for (int64_t i = 0; i < m; ++i) {
+      const std::span<const Vertex> ball =
+          collector.Collect(examples[i].tuple, near_radius);
+      near[i].assign(ball.begin(), ball.end());
+      near_bytes += static_cast<int64_t>(near[i].capacity() * sizeof(Vertex));
+    }
+    if (options.mem_budget != nullptr) options.mem_budget->Charge(near_bytes);
+  }
+  // Layout of v̄·w̄ for the composer: positions k…k+ℓ−1 come from w̄.
+  uint64_t w_layout = 0;
+  for (int j = 0; composable && j < ell; ++j) {
+    w_layout |= uint64_t{1} << (k + j);
+  }
+
+  struct Worker {
+    std::shared_ptr<TypeRegistry> shard;
+    std::unique_ptr<TypeComposer> composer;
+    std::unique_ptr<BallCache> owned_cache;
+    BallCache* cache = nullptr;
+    std::vector<TypeId> example_types;  // ltp(v̄_i) in the shard, lazily
+  };
+  std::vector<Worker> state(workers);
+  // The scan charges the governor per candidate; the vote runs ungoverned.
   ErmOptions shard_options = options;
   shard_options.governor = nullptr;
-  shard_options.threads = 1;
 
   ScanSpec spec;
   spec.n_items = n_items;
@@ -187,27 +248,67 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
   spec.fingerprint = options.scan.fingerprint;
   ScanOutcome outcome = RunResumableScan(
       spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
-        if (shards[worker] == nullptr) {
-          shards[worker] = std::make_shared<TypeRegistry>(graph.vocabulary());
-          caches[worker] =
-              std::make_unique<BallCache>(graph, options.cache_bytes);
-          if (options.mem_budget != nullptr) {
-            // Shard accounting: worker-local registries and caches charge
-            // the caller's budget while they live (they are torn down
-            // before the sweep returns, releasing their bytes).
-            shards[worker]->set_mem_account(options.mem_budget);
-            caches[worker]->set_mem_account(options.mem_budget);
+        Worker& w = state[worker];
+        if (w.shard == nullptr) {
+          w.shard = std::make_shared<TypeRegistry>(graph.vocabulary());
+          w.composer = std::make_unique<TypeComposer>(w.shard.get());
+          if (workers == 1 && options.ball_cache != nullptr) {
+            // A one-worker sweep runs on the caller's thread, so it may
+            // use the caller's (warm) cache; caching is transparent.
+            w.cache = options.ball_cache;
+          } else {
+            w.owned_cache =
+                std::make_unique<BallCache>(graph, options.cache_bytes);
+            w.cache = w.owned_cache.get();
           }
+          if (options.mem_budget != nullptr) {
+            // Shard accounting: worker-local registries, composers and
+            // caches charge the caller's budget while they live (they are
+            // torn down before the sweep returns, releasing their bytes).
+            w.shard->set_mem_account(options.mem_budget);
+            w.composer->set_mem_account(options.mem_budget);
+            if (w.owned_cache != nullptr) {
+              w.owned_cache->set_mem_account(options.mem_budget);
+            }
+          }
+          w.example_types.assign(static_cast<size_t>(m), kNoType);
         }
         std::vector<int64_t> raw = NthTuple(graph.order(), ell, index);
         std::vector<Vertex> parameters(raw.begin(), raw.end());
-        ErmOptions local = shard_options;
-        local.ball_cache = caches[worker].get();
-        ErmResult candidate = TypeMajorityErm(graph, examples, parameters,
-                                              local, shards[worker]);
+        TypeRegistry* shard = w.shard.get();
+        TypeId parameter_type = kNoType;  // ltp(w̄), on first far pair
+        ErmResult candidate = MajorityVote(
+            examples, parameters, shard_options, w.shard,
+            [&](size_t i, std::span<const Vertex> combined) {
+              const bool is_near =
+                  !composable ||
+                  std::any_of(parameters.begin(), parameters.end(),
+                              [&](Vertex p) {
+                                return std::binary_search(near[i].begin(),
+                                                          near[i].end(), p);
+                              });
+              if (is_near) {
+                return ComputeLocalType(graph, combined, options.rank,
+                                        radius, shard, w.cache);
+              }
+              if (parameter_type == kNoType) {
+                parameter_type = ComputeLocalType(
+                    graph, parameters, options.rank, radius, shard, w.cache);
+              }
+              TypeId& example_type = w.example_types[i];
+              if (example_type == kNoType) {
+                example_type =
+                    ComputeLocalType(graph, examples[i].tuple, options.rank,
+                                     radius, shard, w.cache);
+              }
+              return w.composer->Compose(example_type, parameter_type,
+                                         w_layout);
+            });
         return {candidate.training_error,
                 early_stop && candidate.training_error == 0.0};
       });
+  state.clear();
+  if (options.mem_budget != nullptr) options.mem_budget->Release(near_bytes);
   const int64_t winner = outcome.winner;
   const int64_t tried = outcome.tried;
 

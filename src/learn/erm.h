@@ -41,17 +41,19 @@ struct ErmOptions {
   // always single-threaded (it is the per-candidate work unit).
   int threads = 1;
   // Optional per-vertex ball cache bound to the same graph (nullptr =
-  // fresh BFS per type computation). Not thread-safe: only consulted on
-  // single-threaded paths; parallel sweeps create one cache per worker
-  // internally.
+  // fresh BFS per type computation). Not thread-safe: consulted by
+  // TypeMajorityErm, by BruteForceErm's winner re-evaluation, and by its
+  // sweep when the sweep resolves to one worker (which runs on the
+  // caller's thread); a multi-worker sweep creates one cache per worker
+  // internally. Results are identical either way.
   BallCache* ball_cache = nullptr;
   // Byte budget for each internally created per-worker ball cache
   // (BallCache::kNoBudget = unbounded). Purely a memory/perf knob —
   // results are identical with any budget.
   int64_t cache_bytes = BallCache::kNoBudget;
   // Optional memory account (nullptr = unaccounted; must outlive the
-  // call). The per-worker registry shards and ball caches the parallel
-  // sweep creates charge it; pair it with GovernorLimits::mem_budget on
+  // call). The per-worker registry shards, type composers and ball caches
+  // the sweep creates, and its per-example near sets, charge it; pair it with GovernorLimits::mem_budget on
   // the same budget so an overflowing sweep is cut with
   // kResourceExhausted and returns best-so-far. Accounting never changes
   // results — only whether and when the governor cuts.
@@ -104,12 +106,21 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
 // work-budget or injected trip — same inputs + same budget ⇒ identical
 // result).
 //
-// With options.threads > 1 the candidate errors are evaluated in parallel
-// (per-worker type-registry shards and ball caches; deterministic
-// index-ordered argmin), and the winning candidate is then re-evaluated
-// single-threaded on `registry`, so TypeIds, serialised model bytes,
-// governor work accounting, and every diagnostic are identical to the
-// single-threaded scan. Deterministic governor limits (work budget, fault
+// The sweep splits (example, candidate) pairs into far and near. A pair
+// is far when no entry of w̄ lies in N_{2r+1}(v̄): the r-balls of v̄ and w̄
+// are then disjoint and not adjacent, and ltp(v̄w̄) is composed from
+// ltp(v̄) (computed once per worker) and ltp(w̄) (once per candidate) by a
+// TypeComposer — exact, by the locality fact behind Fact 5 and Lemma 15.
+// Near pairs are computed directly with ComputeLocalType. Either way the
+// pair costs one governor work unit, and the candidate's error is the one
+// TypeMajorityErm reports.
+//
+// The candidate errors are evaluated on per-worker type-registry shards
+// (in parallel with options.threads > 1; deterministic index-ordered
+// argmin), and the winning candidate is then re-evaluated directly, on
+// `registry`, so TypeIds, serialised model bytes, governor work
+// accounting, and every diagnostic are identical to a single-threaded scan
+// of direct TypeMajorityErm calls. Deterministic governor limits (work budget, fault
 // injector) fix the evaluated range up front and are charged as the
 // sequential-equivalent batch; the wall-clock deadline is polled
 // cooperatively per candidate.

@@ -1077,9 +1077,10 @@ Message Server::HandleLearn(const Message& request) {
   std::optional<ResourceGovernor> governor;
   if (governed) governor.emplace(limits);
   options.governor = governor.has_value() ? &*governor : nullptr;
-  // The session ball cache is single-threaded state; the library only
-  // consults it on single-threaded scans anyway (parallel sweeps build
-  // per-worker caches), so it is attached exactly then.
+  // The session ball cache is single-threaded state. A one-thread sweep
+  // runs on this thread and uses it for every candidate and for the
+  // winner's re-evaluation; a parallel sweep builds per-worker caches, so
+  // it is attached exactly when threads = 1.
   if (options.threads == 1) options.ball_cache = &session.ball_cache;
   options.cache_bytes = options_.ball_cache_bytes;
   // Per-worker registry shards and ball caches of a parallel sweep charge

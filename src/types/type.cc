@@ -21,6 +21,45 @@ AtomicType::AtomicType(const Graph& graph, std::span<const Vertex> tuple)
   }
 }
 
+AtomicType AtomicType::DisjointUnion(const AtomicType& a,
+                                     const AtomicType& b, uint64_t layout) {
+  FOLEARN_CHECK_EQ(a.num_colors_, b.num_colors_);
+  AtomicType out;
+  out.arity_ = a.arity_ + b.arity_;
+  out.num_colors_ = a.num_colors_;
+  FOLEARN_CHECK_LE(out.arity_, 64);
+  const int total_bits =
+      out.arity_ * out.num_colors_ + out.arity_ * (out.arity_ - 1);
+  out.bits_.assign((total_bits + 63) / 64, 0);
+  // index[p] = the position within its part of output position p (whose
+  // part is bit p of `layout`). `a` and `b` may be the same object.
+  std::vector<int> index(out.arity_);
+  int next_a = 0;
+  int next_b = 0;
+  for (int p = 0; p < out.arity_; ++p) {
+    index[p] = (layout >> p) & 1 ? next_b++ : next_a++;
+  }
+  FOLEARN_CHECK(next_a == a.arity_ && next_b == b.arity_)
+      << "layout does not match the parts' arities";
+  for (int p = 0; p < out.arity_; ++p) {
+    const bool p_in_b = (layout >> p) & 1;
+    const AtomicType& part = p_in_b ? b : a;
+    for (ColorId c = 0; c < out.num_colors_; ++c) {
+      if (part.HasColor(index[p], c)) out.SetBit(out.BitIndexColor(p, c));
+    }
+    for (int p2 = p + 1; p2 < out.arity_; ++p2) {
+      if (((layout >> p2) & 1) != p_in_b) continue;
+      if (part.Equal(index[p], index[p2])) {
+        out.SetBit(out.BitIndexEqual(p, p2));
+      }
+      if (part.Adjacent(index[p], index[p2])) {
+        out.SetBit(out.BitIndexAdjacent(p, p2));
+      }
+    }
+  }
+  return out;
+}
+
 int AtomicType::BitIndexColor(int position, ColorId color) const {
   return position * num_colors_ + color;
 }
@@ -161,6 +200,79 @@ TypeId TypeComputer::Type(std::span<const Vertex> tuple, int rank) {
   }
   TypeId id = registry_->Intern(std::move(node));
   cache_.emplace(std::move(key), id);
+  return id;
+}
+
+TypeComposer::TypeComposer(TypeRegistry* registry) : registry_(registry) {
+  FOLEARN_CHECK(registry != nullptr);
+}
+
+void TypeComposer::ChargeEntry(int64_t bytes) {
+  charged_bytes_ += bytes;
+  if (account_ != nullptr) account_->Charge(bytes);
+}
+
+TypeId TypeComposer::Truncate(TypeId type) {
+  auto it = truncated_.find(type);
+  if (it != truncated_.end()) return it->second;
+  // Copy what is needed: interning below may move the registry's nodes.
+  const TypeNode& full = registry_->Node(type);
+  FOLEARN_CHECK_GE(full.rank, 1) << "a rank-0 type has no truncation";
+  TypeNode node;
+  node.arity = full.arity;
+  node.rank = full.rank - 1;
+  node.atomic = full.atomic;
+  const std::vector<TypeId> children = full.children;
+  if (node.rank > 0) {
+    for (TypeId child : children) node.children.push_back(Truncate(child));
+    std::sort(node.children.begin(), node.children.end());
+    node.children.erase(
+        std::unique(node.children.begin(), node.children.end()),
+        node.children.end());
+  }
+  const TypeId id = registry_->Intern(std::move(node));
+  truncated_.emplace(type, id);
+  ChargeEntry(static_cast<int64_t>(2 * sizeof(TypeId) + 4 * sizeof(void*)));
+  return id;
+}
+
+TypeId TypeComposer::Compose(TypeId t1, TypeId t2, uint64_t layout) {
+  const ComposeKey key{t1, t2, layout};
+  auto it = composed_.find(key);
+  if (it != composed_.end()) return it->second;
+  const TypeNode& a = registry_->Node(t1);
+  const TypeNode& b = registry_->Node(t2);
+  FOLEARN_CHECK_EQ(a.rank, b.rank) << "composing types of unequal rank";
+  const int arity = a.arity + b.arity;
+  FOLEARN_CHECK_LE(arity + a.rank, kMaxArity);
+  TypeNode node;
+  node.arity = arity;
+  node.rank = a.rank;
+  node.atomic = AtomicType::DisjointUnion(a.atomic, b.atomic, layout);
+  if (node.rank > 0) {
+    // Copies: the recursive calls intern, which may move the nodes.
+    const std::vector<TypeId> a_children = a.children;
+    const std::vector<TypeId> b_children = b.children;
+    const TypeId a_rest = Truncate(t1);
+    const TypeId b_rest = Truncate(t2);
+    // The extension vertex u becomes position `arity`: it lies in A for
+    // the children of t1 and in B for the children of t2.
+    const uint64_t u_in_b = layout | (uint64_t{1} << arity);
+    for (TypeId c : a_children) {
+      node.children.push_back(Compose(c, b_rest, layout));
+    }
+    for (TypeId c : b_children) {
+      node.children.push_back(Compose(a_rest, c, u_in_b));
+    }
+    std::sort(node.children.begin(), node.children.end());
+    node.children.erase(
+        std::unique(node.children.begin(), node.children.end()),
+        node.children.end());
+  }
+  const TypeId id = registry_->Intern(std::move(node));
+  composed_.emplace(key, id);
+  ChargeEntry(static_cast<int64_t>(sizeof(ComposeKey) + sizeof(TypeId) +
+                                   4 * sizeof(void*)));
   return id;
 }
 

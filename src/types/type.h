@@ -48,6 +48,14 @@ class AtomicType {
   bool Equal(int i, int j) const;
   bool Adjacent(int i, int j) const;
 
+  // The atomic type of a tuple interleaved from `a` (a tuple in A) and `b`
+  // (a tuple in B) in the disjoint union A ⊔ B: bit p of `layout` set ⇔
+  // output position p is the next entry of b's tuple, otherwise the next
+  // of a's. Colours, equalities and adjacencies within a side are copied;
+  // no equality or adjacency crosses sides. Requires equal colour counts.
+  static AtomicType DisjointUnion(const AtomicType& a, const AtomicType& b,
+                                  uint64_t layout);
+
   bool operator==(const AtomicType& other) const {
     return arity_ == other.arity_ && num_colors_ == other.num_colors_ &&
            bits_ == other.bits_;
@@ -161,6 +169,84 @@ class TypeComputer {
   TypeRegistry* registry_;
   std::unordered_map<std::vector<int64_t>, TypeId, VectorHash<int64_t>>
       cache_;
+};
+
+// Builds types of disjoint unions from the types of their parts, without
+// looking at any graph (Feferman–Vaught). If ā lies in A and b̄ in B, then
+// tp_q(A ⊔ B, ā·b̄) is a function of tp_q(A, ā) and tp_q(B, b̄):
+//
+//   atomic part = the two atomic parts side by side, nothing across;
+//   children    = { Compose(c, Truncate(t2)) : c ∈ children(t1) }
+//               ∪ { Compose(Truncate(t1), c) : c ∈ children(t2) },
+//
+// where the new last position goes to the side that owns c. For local
+// types this is the locality fact behind Fact 5 and Lemma 15: when
+// dist(v̄, w̄) > 2r + 1 the r-balls of v̄ and w̄ are disjoint and not
+// adjacent, so N_r(v̄w̄) is the disjoint union of N_r(v̄) and N_r(w̄) and
+// ltp_{q,r}(v̄w̄) = Compose(ltp_{q,r}(v̄), ltp_{q,r}(w̄), layout).
+//
+// Results are interned through the composer's registry, so hash-consing
+// makes a composed TypeId equal to the one ComputeType would intern for
+// the same tuple. Both operations are memoised; the memo lives as long as
+// the composer and is meaningful only for its one registry.
+class TypeComposer {
+ public:
+  // Positions are tracked in a 64-bit layout mask: a composed tuple,
+  // including the positions the EF recursion appends (one per rank), must
+  // stay within this arity.
+  static constexpr int kMaxArity = 64;
+
+  explicit TypeComposer(TypeRegistry* registry);
+  ~TypeComposer() {
+    if (account_ != nullptr) account_->Release(charged_bytes_);
+  }
+  TypeComposer(const TypeComposer&) = delete;
+  TypeComposer& operator=(const TypeComposer&) = delete;
+
+  // The type of the interleaved tuple in the disjoint union: t1 and t2
+  // must have equal rank, and bit p of `layout` set ⇔ output position p
+  // comes from t2's tuple (each side keeps its own order). The arity of
+  // the result plus its rank must not exceed kMaxArity.
+  TypeId Compose(TypeId t1, TypeId t2, uint64_t layout);
+
+  // tp_{q−1}(G, v̄) from tp_q(G, v̄), q ≥ 1: the EF tree cut one level
+  // short.
+  TypeId Truncate(TypeId type);
+
+  // Mirrors the memo's approximate footprint into a MemBudget account,
+  // with forced charges like TypeRegistry::set_mem_account (the memo is
+  // part of the registry shard's working state).
+  void set_mem_account(MemBudget* account) {
+    if (account_ != nullptr) account_->Release(charged_bytes_);
+    account_ = account;
+    if (account_ != nullptr && charged_bytes_ > 0) {
+      account_->Charge(charged_bytes_);
+    }
+  }
+
+ private:
+  struct ComposeKey {
+    TypeId t1;
+    TypeId t2;
+    uint64_t layout;
+    bool operator==(const ComposeKey&) const = default;
+  };
+  struct ComposeKeyHash {
+    size_t operator()(const ComposeKey& key) const {
+      size_t seed = std::hash<uint64_t>()(key.layout);
+      HashCombine(seed, static_cast<size_t>(key.t1));
+      HashCombine(seed, static_cast<size_t>(key.t2));
+      return seed;
+    }
+  };
+
+  void ChargeEntry(int64_t bytes);
+
+  TypeRegistry* registry_;
+  std::unordered_map<ComposeKey, TypeId, ComposeKeyHash> composed_;
+  std::unordered_map<TypeId, TypeId> truncated_;
+  int64_t charged_bytes_ = 0;
+  MemBudget* account_ = nullptr;
 };
 
 // One-shot tp_q(G, v̄).

@@ -104,6 +104,45 @@ rc=0
 [ "$rc" -eq 65 ]
 grep -q 'k + ell exceeds' "$DIR/huge.log"
 
+# 5e. Input that used to reach a CHECK (exit 134) is validated instead.
+#     eval checks the data's arity against the model's k, and the model's
+#     parameters against the graph: both exit 65 like folearnd. mc
+#     --via-erm on a colour the graph lacks answers what plain mc answers.
+printf 'examples 2\n+ 0 1\n- 1 2\n' > "$DIR/pairs.txt"
+rc=0
+"$CLI" eval --graph "$DIR/g.txt" --data "$DIR/pairs.txt" \
+    --model "$DIR/m.txt" 2> "$DIR/arity.log" || rc=$?
+[ "$rc" -eq 65 ]
+grep -q "does not match the model's k=1" "$DIR/arity.log"
+printf 'hypothesis k 1 ell 1\nparams 99\nformula E(x1, y1)\n' \
+    > "$DIR/far_param.txt"
+rc=0
+"$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+    --model "$DIR/far_param.txt" 2> "$DIR/param.log" || rc=$?
+[ "$rc" -eq 65 ]
+grep -q 'model parameter vertex 99 outside the graph' "$DIR/param.log"
+rc=0
+verdict=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Blue(x)" \
+    --via-erm 1 2> /dev/null) || rc=$?
+[ "$rc" -eq 2 ]
+[ "$verdict" = "false" ]
+# Data vertices outside the graph (learn and eval) exit 65; a formula with
+# a free variable is not a sentence (exit 1, like a parse error).
+printf 'examples 1\n+ 99\n- 0\n' > "$DIR/far_data.txt"
+for extra in "learn --out $DIR/unused.txt" "eval --model $DIR/m.txt"; do
+  rc=0
+  # shellcheck disable=SC2086  # $extra is a subcommand plus one flag
+  "$CLI" $extra --graph "$DIR/g.txt" --data "$DIR/far_data.txt" \
+      2> "$DIR/data.log" || rc=$?
+  [ "$rc" -eq 65 ] || { echo "$extra: expected 65, got $rc" >&2; exit 1; }
+  grep -q 'example names vertex 99 outside the graph' "$DIR/data.log"
+done
+rc=0
+"$CLI" mc --graph "$DIR/g.txt" --sentence "Red(x)" 2> "$DIR/free.log" \
+    || rc=$?
+[ "$rc" -eq 1 ]
+grep -q "'x' occurs free" "$DIR/free.log"
+
 # 6. Profile prints the invariants table.
 "$CLI" profile --graph "$DIR/g.txt" --radius 2 | grep -q 'degeneracy'
 

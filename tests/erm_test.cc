@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "fo/parser.h"
 #include "fo/printer.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "learn/erm.h"
+#include "learn/model_io.h"
 #include "util/rng.h"
 
 namespace folearn {
@@ -195,6 +200,111 @@ TEST(TypeMajorityErm, PairQueries) {
   EXPECT_EQ(result.training_error, 0.0);
   EXPECT_EQ(result.hypothesis.k, 2);
 }
+
+
+// Oracle grid: BruteForceErm's sweep composes the local types of far
+// (example, candidate) pairs instead of computing them. Its result must be
+// exactly that of a first-minimiser scan of direct TypeMajorityErm over
+// every candidate — parameters, error and model bytes — at any thread
+// count.
+enum class OracleFamily { kTree, kGrid, kSparseRandom, kDisconnected };
+
+using OracleParam = std::tuple<OracleFamily, int /*q*/, int /*r*/,
+                               int /*k*/, int /*ell*/>;
+
+Graph MakeOracleGraph(OracleFamily family, int n, Rng& rng) {
+  switch (family) {
+    case OracleFamily::kTree: {
+      Graph g = MakeRandomTree(n, rng);
+      AddRandomColors(g, {"Red"}, 0.4, rng);
+      return g;
+    }
+    case OracleFamily::kGrid: {
+      Graph g = MakeGrid(n / 3, 3);
+      AddRandomColors(g, {"Red"}, 0.4, rng);
+      return g;
+    }
+    case OracleFamily::kSparseRandom: {
+      Graph g = MakeErdosRenyi(n, 1.5 / n, rng);
+      AddRandomColors(g, {"Red", "Blue"}, 0.35, rng);
+      return g;
+    }
+    case OracleFamily::kDisconnected: {
+      // Three components, one of them an isolated vertex: most pairs are
+      // at infinite distance.
+      Graph g = DisjointUnion(DisjointCopies(MakeRandomTree(n / 2, rng), 2),
+                              MakePath(1));
+      AddRandomColors(g, {"Red"}, 0.4, rng);
+      return g;
+    }
+  }
+  return Graph(0);
+}
+
+class ErmOracleGrid : public ::testing::TestWithParam<OracleParam> {};
+
+TEST_P(ErmOracleGrid, SweepEqualsFirstMinimiserOfDirectScan) {
+  const auto [family, q, r, k, ell] = GetParam();
+  Rng rng(1000 + 100 * static_cast<int>(family) + 10 * q + r + 3 * k + ell);
+  // Rank-2 models are large formulas (most of this test's time goes into
+  // printing them): smaller graphs and fewer examples keep the grid fast
+  // enough for repeated sanitizer runs.
+  const int n = (ell == 2 ? 10 : 16) - (q == 2 ? 3 : 0);
+  Graph g = MakeOracleGraph(family, n, rng);
+  TrainingSet examples;
+  for (const std::vector<Vertex>& tuple :
+       SampleTuples(g.order(), k, q == 2 ? 6 : 10, rng)) {
+    examples.push_back({tuple, rng.Bernoulli(0.5)});
+  }
+  ErmOptions options;
+  options.rank = q;
+  options.radius = r;
+
+  // The oracle: every candidate on its own fresh registry, direct types,
+  // first strict minimiser kept.
+  ErmResult oracle;
+  int64_t oracle_tried = 0;
+  for (const std::vector<Vertex>& parameters : AllTuples(g.order(), ell)) {
+    ErmResult candidate = TypeMajorityErm(g, examples, parameters, options);
+    ++oracle_tried;
+    if (oracle_tried == 1 ||
+        candidate.training_error < oracle.training_error) {
+      oracle = std::move(candidate);
+    }
+    if (oracle.training_error == 0.0) break;
+  }
+  const std::string oracle_text =
+      HypothesisToText(oracle.hypothesis.ToExplicit());
+
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    ErmResult swept = BruteForceErm(g, examples, ell, options);
+    EXPECT_EQ(swept.hypothesis.parameters, oracle.hypothesis.parameters);
+    EXPECT_EQ(swept.training_error, oracle.training_error);
+    EXPECT_EQ(swept.distinct_types_seen, oracle.distinct_types_seen);
+    EXPECT_EQ(swept.parameter_tuples_tried, oracle_tried);
+    EXPECT_EQ(HypothesisToText(swept.hypothesis.ToExplicit()), oracle_text);
+  }
+}
+
+std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
+  const char* families[] = {"tree", "grid", "sparse", "disconnected"};
+  const auto [family, q, r, k, ell] = info.param;
+  return std::string(families[static_cast<int>(family)]) + "_q" +
+         std::to_string(q) + "_r" + std::to_string(r) + "_k" +
+         std::to_string(k) + "_ell" + std::to_string(ell);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ErmOracleGrid,
+    ::testing::Combine(::testing::Values(OracleFamily::kTree,
+                                         OracleFamily::kGrid,
+                                         OracleFamily::kSparseRandom,
+                                         OracleFamily::kDisconnected),
+                       ::testing::Values(0, 1, 2), ::testing::Values(0, 1, 2),
+                       ::testing::Values(1, 2), ::testing::Values(1, 2)),
+    OracleName);
 
 }  // namespace
 }  // namespace folearn

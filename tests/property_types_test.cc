@@ -8,6 +8,7 @@
 #include <set>
 
 #include "fo/parser.h"
+#include "graph/algorithms.h"
 #include "mc/evaluator.h"
 #include "test_helpers.h"
 #include "types/counting_type.h"
@@ -180,6 +181,30 @@ TEST_P(TypesProperty, PairTypeAgreement) {
   }
 }
 
+// Truncate(tp_q) = tp_{q−1}, for global and local types of single
+// vertices and pairs.
+TEST_P(TypesProperty, TruncateDropsOneRank) {
+  Graph g = MakeGraph(10);
+  TypeRegistry registry(g.vocabulary());
+  TypeComposer composer(&registry);
+  for (int rank : {1, 2}) {
+    for (Vertex u = 0; u < g.order(); ++u) {
+      Vertex single[] = {u};
+      Vertex pair[] = {u, (u * 7 + 3) % g.order()};
+      ASSERT_EQ(composer.Truncate(ComputeType(g, single, rank, &registry)),
+                ComputeType(g, single, rank - 1, &registry))
+          << "rank=" << rank << " u=" << u;
+      ASSERT_EQ(composer.Truncate(ComputeType(g, pair, rank, &registry)),
+                ComputeType(g, pair, rank - 1, &registry))
+          << "rank=" << rank << " u=" << u;
+      ASSERT_EQ(
+          composer.Truncate(ComputeLocalType(g, pair, rank, 1, &registry)),
+          ComputeLocalType(g, pair, rank - 1, 1, &registry))
+          << "rank=" << rank << " u=" << u;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Families, TypesProperty,
     ::testing::Values(FamilySeedParam{GraphFamily::kPath, 31},
@@ -192,6 +217,93 @@ INSTANTIATE_TEST_SUITE_P(
                       FamilySeedParam{GraphFamily::kErdosRenyiSparse, 38},
                       FamilySeedParam{GraphFamily::kStar, 39}),
     FamilySeedName);
+
+// Feferman–Vaught composition (TypeComposer): for a k-tuple v̄ and an
+// ℓ-tuple w̄ more than 2r + 1 apart, interleaved into one tuple by a random
+// layout, Compose(ltp(v̄), ltp(w̄), layout) is the directly computed
+// ltp(tuple), TypeId for TypeId.
+struct ComposeParam {
+  int rank;
+  int colours;
+  int k;
+  int ell;
+};
+
+class ComposeProperty : public ::testing::TestWithParam<ComposeParam> {};
+
+TEST_P(ComposeProperty, ComposeEqualsDirectLocalTypeOnFarPairs) {
+  const ComposeParam p = GetParam();
+  const std::vector<std::string> colours =
+      p.colours == 1 ? std::vector<std::string>{"Red"}
+                     : std::vector<std::string>{"Red", "Blue"};
+  int checked = 0;
+  for (GraphFamily family :
+       {GraphFamily::kPath, GraphFamily::kRandomTree, GraphFamily::kGrid,
+        GraphFamily::kErdosRenyiSparse}) {
+    Rng rng(500 + 37 * static_cast<int>(family) + 11 * p.rank +
+            5 * p.colours + 3 * p.k + p.ell);
+    // A second component supplies pairs at infinite distance.
+    Graph g = DisjointUnion(MakeFamilyGraph(family, 16, rng),
+                            MakeRandomTree(6, rng));
+    AddRandomColors(g, colours, 0.4, rng);
+    TypeRegistry registry(g.vocabulary());
+    TypeComposer composer(&registry);
+    for (int radius : {0, 1}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<Vertex> v(p.k);
+        std::vector<Vertex> w(p.ell);
+        for (Vertex& x : v) x = static_cast<Vertex>(rng.UniformIndex(g.order()));
+        for (Vertex& x : w) x = static_cast<Vertex>(rng.UniformIndex(g.order()));
+        const int dist = TupleDistance(g, v, w);
+        if (dist != kUnreachable && dist <= 2 * radius + 1) continue;
+        // A random interleaving with exactly ℓ positions from w̄.
+        std::vector<int> from_w(p.k + p.ell, 0);
+        std::fill(from_w.begin(), from_w.begin() + p.ell, 1);
+        rng.Shuffle(from_w);
+        uint64_t layout = 0;
+        std::vector<Vertex> tuple;
+        size_t next_v = 0;
+        size_t next_w = 0;
+        for (size_t i = 0; i < from_w.size(); ++i) {
+          if (from_w[i]) layout |= uint64_t{1} << i;
+          tuple.push_back(from_w[i] ? w[next_w++] : v[next_v++]);
+        }
+        const TypeId direct =
+            ComputeLocalType(g, tuple, p.rank, radius, &registry);
+        const TypeId composed = composer.Compose(
+            ComputeLocalType(g, v, p.rank, radius, &registry),
+            ComputeLocalType(g, w, p.rank, radius, &registry), layout);
+        ASSERT_EQ(composed, direct)
+            << FamilyName(family) << " radius=" << radius
+            << " layout=" << layout << " trial=" << trial;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+std::string ComposeName(const ::testing::TestParamInfo<ComposeParam>& info) {
+  const ComposeParam& p = info.param;
+  return "q" + std::to_string(p.rank) + "_colours" +
+         std::to_string(p.colours) + "_k" + std::to_string(p.k) + "_ell" +
+         std::to_string(p.ell);
+}
+
+std::vector<ComposeParam> ComposeParams() {
+  std::vector<ComposeParam> params;
+  for (int rank : {0, 1, 2}) {
+    for (int colours : {1, 2}) {
+      for (int k : {1, 2}) {
+        for (int ell : {1, 2}) params.push_back({rank, colours, k, ell});
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(Compose, ComposeProperty,
+                         ::testing::ValuesIn(ComposeParams()), ComposeName);
 
 }  // namespace
 }  // namespace folearn

@@ -1097,6 +1097,82 @@ TEST_F(ServerTest, DurableSessionsSurviveRestartByteIdentically) {
   EXPECT_EQ(ResponseExitCode(*missing), 64);
 }
 
+// The ERM sweep composes the local types of far (example, candidate)
+// pairs. A daemon learn with parameters (ℓ = 1, so the sweep runs) must
+// still produce the model bytes of the direct library call at every
+// thread count, before and after a restart, on the recovered session and
+// on a fresh one.
+TEST_F(ServerTest, SweepModelBytesIdenticalAcrossThreadsAndRestart) {
+  ServerOptions options;
+  options.state_dir = MakeStateDir();
+  StartServer(options);
+  TestProblem problem = MakeProblem(60, 41);
+  // Coin-flip labels plus one contradicting duplicate: no candidate
+  // reaches zero error, so every learn sweeps all 60 candidates.
+  Rng rng(43);
+  problem.data.clear();
+  for (Vertex v = 0; v < problem.graph.order(); v += 2) {
+    problem.data.push_back({{v}, rng.Bernoulli(0.5)});
+  }
+  problem.data.push_back({{0}, !problem.data[0].label});
+  problem.data_text = TrainingSetToText(problem.data);
+
+  ErmOptions direct_options;
+  direct_options.rank = 1;
+  direct_options.radius = 1;
+  const std::string expected = HypothesisToText(
+      BruteForceErm(problem.graph, problem.data, 1, direct_options)
+          .hypothesis.ToExplicit());
+
+  auto learn_model = [&](Client& client, uint64_t session, int threads,
+                         const std::string& request_id) {
+    Message learn;
+    learn.Set("op", "learn");
+    learn.Set("session", std::to_string(session));
+    learn.Set("data", problem.data_text);
+    learn.Set("rank", "1");
+    learn.Set("radius", "1");
+    learn.Set("ell", "1");
+    learn.Set("threads", std::to_string(threads));
+    learn.Set("request-id", request_id);
+    StatusOr<Message> learned = client.Call(learn);
+    EXPECT_TRUE(learned.ok());
+    if (!learned.ok()) return std::string();
+    EXPECT_EQ(learned->Get("status"), kStatusOk) << learned->Get("error");
+    EXPECT_EQ(learned->Get("tuples-tried"), "60");
+    return learned->Get("model");
+  };
+
+  uint64_t session_id = 0;
+  {
+    Client client = MustConnect();
+    StatusOr<uint64_t> session = client.LoadGraph(problem.graph_text);
+    ASSERT_TRUE(session.ok());
+    session_id = *session;
+    for (int threads : {1, 2, 8}) {
+      EXPECT_EQ(learn_model(client, session_id, threads,
+                            "before-" + std::to_string(threads)),
+                expected)
+          << "threads=" << threads;
+    }
+  }
+
+  RestartServer();
+  Client client = MustConnect();
+  StatusOr<uint64_t> fresh = client.LoadGraph(problem.graph_text);
+  ASSERT_TRUE(fresh.ok());
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(learn_model(client, session_id, threads,
+                          "after-" + std::to_string(threads)),
+              expected)
+        << "recovered session, threads=" << threads;
+    EXPECT_EQ(learn_model(client, *fresh, threads,
+                          "fresh-" + std::to_string(threads)),
+              expected)
+        << "fresh session, threads=" << threads;
+  }
+}
+
 TEST_F(ServerTest, FileBackedSessionSurvivesRestartAndDetectsSwaps) {
   ServerOptions options;
   options.state_dir = MakeStateDir();

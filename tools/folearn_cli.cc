@@ -324,10 +324,26 @@ int CmdGraphPack(const Args& args) {
   return 0;
 }
 
-TrainingSet LoadData(const Args& args) {
+// Every example vertex must lie in the graph, as folearnd's ValidateTuples
+// demands: a data file is external input and must not reach the library's
+// CHECKs. Exits 65 otherwise.
+void ValidateData(const Graph& graph, const TrainingSet& data) {
+  for (const LabeledExample& example : data) {
+    for (Vertex v : example.tuple) {
+      if (!graph.IsValidVertex(v)) {
+        DieStatus(DataLossError("example names vertex " + std::to_string(v) +
+                                " outside the graph (order " +
+                                std::to_string(graph.order()) + ")"));
+      }
+    }
+  }
+}
+
+TrainingSet LoadData(const Args& args, const Graph& graph) {
   StatusOr<TrainingSet> data =
       LoadTrainingSetFile(GetRequiredPath(args, "data"));
   if (!data.ok()) DieStatus(data.status());
+  ValidateData(graph, *data);
   return *std::move(data);
 }
 
@@ -468,6 +484,7 @@ int CmdLearn(const Args& args, ResourceGovernor* governor) {
     DieStatus(Status(data.status().code(),
                      data_path + ": " + data.status().message()));
   }
+  ValidateData(*graph, *data);
 
   ErmOptions options;
   options.rank = GetNonNegativeInt(args, "rank", 1);
@@ -580,10 +597,28 @@ int CmdLearn(const Args& args, ResourceGovernor* governor) {
 
 int CmdEval(const Args& args, ResourceGovernor* governor) {
   Graph graph = LoadGraph(args);
-  TrainingSet data = LoadData(args);
+  TrainingSet data = LoadData(args, graph);
   StatusOr<Hypothesis> hypothesis =
       LoadHypothesisFile(GetRequiredPath(args, "model"));
   if (!hypothesis.ok()) DieStatus(hypothesis.status());
+  // The model header's arity and parameters are checked against the data
+  // and the graph the way folearnd checks them (exit 65).
+  for (Vertex w : hypothesis->parameters) {
+    if (!graph.IsValidVertex(w)) {
+      DieStatus(DataLossError("model parameter vertex " + std::to_string(w) +
+                              " outside the graph (order " +
+                              std::to_string(graph.order()) + ")"));
+    }
+  }
+  const size_t k = hypothesis->query_vars.size();
+  for (const LabeledExample& example : data) {
+    if (example.tuple.size() != k) {
+      DieStatus(DataLossError("example arity " +
+                              std::to_string(example.tuple.size()) +
+                              " does not match the model's k=" +
+                              std::to_string(k)));
+    }
+  }
   double err = TrainingError(graph, *hypothesis, data,
                              GetEvalOptions(args, governor));
   std::printf("error: %.4f on %zu examples\n", err, data.size());
@@ -592,6 +627,16 @@ int CmdEval(const Args& args, ResourceGovernor* governor) {
     return kExitDegraded;
   }
   return 0;
+}
+
+void DeclareMissingColors(const FormulaRef& formula, Graph& graph) {
+  if (formula->kind() == FormulaKind::kColor &&
+      !graph.FindColor(formula->color_name()).has_value()) {
+    graph.AddColor(formula->color_name());
+  }
+  for (const FormulaRef& child : formula->children()) {
+    DeclareMissingColors(child, graph);
+  }
 }
 
 int CmdMc(const Args& args, ResourceGovernor* governor) {
@@ -603,8 +648,17 @@ int CmdMc(const Args& args, ResourceGovernor* governor) {
     std::fprintf(stderr, "sentence parse error: %s\n", error.c_str());
     return 1;
   }
+  if (!(*sentence)->free_variables().empty()) {
+    std::fprintf(stderr, "mc requires a sentence; '%s' occurs free\n",
+                 (*sentence)->free_variables().front().c_str());
+    return 1;
+  }
   bool value;
   if (args.Has("via-erm")) {
+    // The reduction reads colours off the graph: declare each colour the
+    // sentence names but the graph lacks as an empty class, which is what
+    // the evaluators' missing_color_is_false means for plain mc.
+    DeclareMissingColors(*sentence, graph);
     TypeErmOracle oracle(/*relaxation_ell=*/0, governor);
     ModelCheckOptions mc_options;
     mc_options.governor = governor;
