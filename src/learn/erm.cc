@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "learn/search_state.h"
@@ -102,126 +104,44 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
 
 namespace {
 
-// The original single-threaded scan, kept verbatim as the fallback for
-// ranges the deterministic allowance cannot fit even one candidate into
-// (the governor then trips inside the first candidate, and the partial
-// majority vote / pessimistic-fallback semantics of PR 2 apply
-// unchanged). The unified parallel path below reproduces this loop's
-// results exactly whenever at least one candidate completes.
-ErmResult BruteForceErmSequential(const Graph& graph,
-                                  const TrainingSet& examples, int ell,
-                                  const ErmOptions& options,
-                                  std::shared_ptr<TypeRegistry> registry,
-                                  bool early_stop) {
-  ErmResult best;
-  bool have_complete = false;
-  int64_t tried = 0;
-  ForEachTuple(graph.order(), ell, [&](const std::vector<int64_t>& raw) {
-    if (!GovernorCheckpoint(options.governor)) return false;
-    std::vector<Vertex> parameters(raw.begin(), raw.end());
-    ErmResult candidate =
-        TypeMajorityErm(graph, examples, parameters, options, registry);
-    ++tried;
-    if (candidate.status == RunStatus::kComplete) {
-      if (!have_complete || candidate.training_error < best.training_error) {
-        best = std::move(candidate);
-        have_complete = true;
-      }
-    } else if (tried == 1) {
-      // Interrupted mid-candidate with nothing better: keep the partial
-      // majority vote rather than returning an empty hypothesis.
-      best = std::move(candidate);
-    }
-    if (GovernorInterrupted(options.governor)) return false;
-    return !early_stop || best.training_error > 0.0 || !have_complete;
-  });
-  if (tried == 0) {
-    // Governor tripped before the first candidate: still return a
-    // well-formed (vacuous) hypothesis rather than a default-constructed
-    // shell, so callers can serialise the result unconditionally.
-    best = TypeMajorityErm(graph, examples,
-                           std::vector<Vertex>(static_cast<size_t>(ell), 0),
-                           options, registry);
-  }
-  best.parameter_tuples_tried = tried;
-  best.status = GovernorStatus(options.governor);
-  return best;
-}
-
-}  // namespace
-
-ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
-                        int ell, const ErmOptions& options,
-                        std::shared_ptr<TypeRegistry> registry,
-                        bool early_stop) {
-  FOLEARN_CHECK_GE(ell, 0);
-  if (registry == nullptr) {
-    registry = std::make_shared<TypeRegistry>(graph.vocabulary());
-  }
-  const int64_t n_items = SaturatingPow(graph.order(), ell);
+// Evaluates candidate errors over the budgeted range (RunResumableScan).
+// Workers share nothing mutable: each lazily builds its own registry
+// shard, composer and ball cache; the governor is only polled read-only
+// for deadline/cancellation. The hypotheses built here are discarded —
+// only (error, index) feeds the reduction — so shard-local TypeIds never
+// leak into the result. This is also what makes checkpoints tiny: no
+// shard, cache, or registry state needs to survive a crash, only the scan
+// frontier.
+//
+// Far/near split: when no entry of w̄ lies in N_{2r+1}(v̄), the r-balls
+// of v̄ and w̄ are disjoint and not adjacent, so ltp(v̄w̄) is composed
+// from ltp(v̄) and ltp(w̄) (TypeComposer) — each computed once per worker
+// and candidate respectively — instead of from the ball of v̄w̄. Near
+// pairs are computed directly. Composition is exact, so each candidate's
+// error is the one TypeMajorityErm reports for it.
+ScanOutcome RunComposedScan(
+    const Graph& graph, const TrainingSet& examples, int64_t num_candidates,
+    const std::function<std::vector<Vertex>(int64_t)>& parameters_at,
+    const ErmOptions& options, std::string_view learner, bool early_stop,
+    int64_t first_item_discount) {
   const int64_t m = static_cast<int64_t>(examples.size());
-  // Sequential checkpoint cost per candidate: one outer checkpoint in the
-  // scan plus one per example inside TypeMajorityErm.
-  const int64_t unit = m + 1;
-  ResourceGovernor* governor = options.governor;
-
-  if (options.scan.resume == nullptr) {
-    // Deterministic limits fix the number of candidates that can complete
-    // before anything runs; if not even one fits (or the range is empty),
-    // the sequential loop's partial-candidate semantics apply. A resumed
-    // scan never takes this path — its first candidate completed in the
-    // original process.
-    const int64_t allowance =
-        governor == nullptr ? kNoLimit : governor->DeterministicAllowance();
-    const int64_t full =
-        allowance == kNoLimit ? n_items : std::min(n_items, allowance / unit);
-    if (full == 0) {
-      return BruteForceErmSequential(graph, examples, ell, options, registry,
-                                     early_stop);
-    }
-  }
-
-  // Evaluate candidate errors over the budgeted range. Workers share
-  // nothing mutable: each lazily builds its own registry shard, composer
-  // and ball cache; the governor is only polled read-only for
-  // deadline/cancellation. The hypotheses built here are discarded — only
-  // (error, index) feeds the reduction — so shard-local TypeIds never leak
-  // into the result. This is also what makes checkpoints tiny: no shard,
-  // cache, or registry state needs to survive a crash, only the scan
-  // frontier.
-  //
-  // Far/near split: when no entry of w̄ lies in N_{2r+1}(v̄), the r-balls
-  // of v̄ and w̄ are disjoint and not adjacent, so ltp(v̄w̄) is composed
-  // from ltp(v̄) and ltp(w̄) (TypeComposer) — each computed once per worker
-  // and candidate respectively — instead of from the ball of v̄w̄. Near
-  // pairs are computed directly. Composition is exact, so each candidate's
-  // error is the one TypeMajorityErm reports for it.
   const int workers = EffectiveThreads(options.threads);
   const int radius = options.EffectiveRadius();
   const int k = m == 0 ? 0 : static_cast<int>(examples[0].tuple.size());
-  const bool composable =
-      int64_t{k} + ell + options.rank <= TypeComposer::kMaxArity;
   // N_{2r+1}(v̄_i) per example, sorted: read-only, shared by every worker.
   // No distance exceeds the order, so the radius is clamped to it.
   const int near_radius = static_cast<int>(
       std::min<int64_t>(2 * int64_t{radius} + 1, graph.order()));
-  std::vector<std::vector<Vertex>> near(composable ? m : 0);
+  std::vector<std::vector<Vertex>> near(m);
   int64_t near_bytes = 0;
-  if (composable) {
-    BallCollector collector(graph);
-    for (int64_t i = 0; i < m; ++i) {
-      const std::span<const Vertex> ball =
-          collector.Collect(examples[i].tuple, near_radius);
-      near[i].assign(ball.begin(), ball.end());
-      near_bytes += static_cast<int64_t>(near[i].capacity() * sizeof(Vertex));
-    }
-    if (options.mem_budget != nullptr) options.mem_budget->Charge(near_bytes);
+  BallCollector collector(graph);
+  for (int64_t i = 0; i < m; ++i) {
+    const std::span<const Vertex> ball =
+        collector.Collect(examples[i].tuple, near_radius);
+    near[i].assign(ball.begin(), ball.end());
+    near_bytes += static_cast<int64_t>(near[i].capacity() * sizeof(Vertex));
   }
-  // Layout of v̄·w̄ for the composer: positions k…k+ℓ−1 come from w̄.
-  uint64_t w_layout = 0;
-  for (int j = 0; composable && j < ell; ++j) {
-    w_layout |= uint64_t{1} << (k + j);
-  }
+  if (options.mem_budget != nullptr) options.mem_budget->Charge(near_bytes);
 
   struct Worker {
     std::shared_ptr<TypeRegistry> shard;
@@ -236,15 +156,16 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
   shard_options.governor = nullptr;
 
   ScanSpec spec;
-  spec.n_items = n_items;
-  spec.unit = unit;
+  spec.n_items = num_candidates;
+  spec.unit = m + 1;
+  spec.first_item_discount = first_item_discount;
   spec.early_stop = early_stop;
   spec.threads = workers;
   spec.chunk_size = 8;
-  spec.governor = governor;
+  spec.governor = options.governor;
   spec.checkpointer = options.scan.checkpointer;
   spec.resume = options.scan.resume;
-  spec.learner = "brute";
+  spec.learner = std::string(learner);
   spec.fingerprint = options.scan.fingerprint;
   ScanOutcome outcome = RunResumableScan(
       spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
@@ -273,8 +194,15 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
           }
           w.example_types.assign(static_cast<size_t>(m), kNoType);
         }
-        std::vector<int64_t> raw = NthTuple(graph.order(), ell, index);
-        std::vector<Vertex> parameters(raw.begin(), raw.end());
+        const std::vector<Vertex> parameters = parameters_at(index);
+        const int ell = static_cast<int>(parameters.size());
+        const bool composable =
+            int64_t{k} + ell + options.rank <= TypeComposer::kMaxArity;
+        // Layout of v̄·w̄ for the composer: positions k…k+ℓ−1 come from w̄.
+        uint64_t w_layout = 0;
+        for (int j = 0; composable && j < ell; ++j) {
+          w_layout |= uint64_t{1} << (k + j);
+        }
         TypeRegistry* shard = w.shard.get();
         TypeId parameter_type = kNoType;  // ltp(w̄), on first far pair
         ErmResult candidate = MajorityVote(
@@ -309,61 +237,90 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
       });
   state.clear();
   if (options.mem_budget != nullptr) options.mem_budget->Release(near_bytes);
-  const int64_t winner = outcome.winner;
-  const int64_t tried = outcome.tried;
+  return outcome;
+}
+
+}  // namespace
+
+ErmResult TypeMajoritySweep(
+    const Graph& graph, const TrainingSet& examples, int64_t num_candidates,
+    const std::function<std::vector<Vertex>(int64_t)>& parameters_at,
+    const ErmOptions& options, std::shared_ptr<TypeRegistry> registry,
+    std::string_view learner, bool early_stop, int64_t first_item_discount) {
+  FOLEARN_CHECK_GE(num_candidates, 0);
+  if (registry == nullptr) {
+    registry = std::make_shared<TypeRegistry>(graph.vocabulary());
+  }
+  const int64_t m = static_cast<int64_t>(examples.size());
+  // Sequential checkpoint cost per candidate: one outer checkpoint in the
+  // scan plus one per example inside the vote.
+  const int64_t unit = m + 1;
+  ResourceGovernor* governor = options.governor;
+
+  // Deterministic limits fix the number of candidates that can complete
+  // before anything runs. If not even one fits, the scan is skipped and
+  // candidate 0 is evaluated below, exactly as the sequential loop would
+  // start it. A resumed scan always runs: its frontier and ledger live in
+  // RunResumableScan.
+  const int64_t allowance =
+      governor == nullptr ? kNoLimit : governor->DeterministicAllowance();
+  const bool fits =
+      num_candidates > 0 &&
+      (allowance == kNoLimit || allowance + first_item_discount >= unit);
+  ScanOutcome outcome;
+  if (options.scan.resume != nullptr || fits) {
+    outcome = RunComposedScan(graph, examples, num_candidates, parameters_at,
+                              options, learner, early_stop,
+                              first_item_discount);
+  }
 
   ErmResult best;
-  if (winner < 0) {
-    // Nothing completed (a passive stop before the first candidate):
-    // mirror the sequential tried == 0 fallback, evaluating the vacuous
-    // candidate under the (now tripped) governor.
-    best = TypeMajorityErm(graph, examples,
-                           std::vector<Vertex>(static_cast<size_t>(ell), 0),
-                           options, registry);
-  } else {
+  int64_t tried = outcome.tried;
+  if (outcome.winner >= 0) {
     // Re-evaluate only the winner on the caller's registry, ungoverned
-    // (its work is already charged above): TypeIds and serialised bytes
-    // come out exactly as in a single-threaded run that interned only the
-    // winning candidate, independent of thread count.
-    std::vector<int64_t> raw = NthTuple(graph.order(), ell, winner);
-    std::vector<Vertex> parameters(raw.begin(), raw.end());
+    // (its work is already charged): TypeIds and serialised bytes come out
+    // exactly as in a single-threaded run that interned only the winning
+    // candidate, independent of thread count.
     ErmOptions winner_options = options;
     winner_options.governor = nullptr;
-    best = TypeMajorityErm(graph, examples, parameters, winner_options,
+    best = TypeMajorityErm(graph, examples, parameters_at(outcome.winner),
+                           winner_options, registry);
+  } else if (num_candidates == 0) {
+    // An empty range: the vacuous (parameter-free) hypothesis.
+    best = TypeMajorityErm(graph, examples, {}, options, registry);
+  } else {
+    // No candidate completed — none fit the allowance, or a deadline or
+    // cancellation stopped the scan first. Evaluate candidate 0 governed,
+    // as the sequential loop would: its outer checkpoint (waived by the
+    // first-item discount) and then the vote, which keeps the examples it
+    // saw before the trip.
+    const bool started =
+        first_item_discount == 1 || GovernorCheckpoint(governor);
+    best = TypeMajorityErm(graph, examples, parameters_at(0), options,
                            registry);
+    tried = std::max<int64_t>(tried, started ? 1 : 0);
   }
   best.parameter_tuples_tried = tried;
   best.status = GovernorStatus(governor);
   return best;
 }
 
-namespace {
-
-EnumerationErmResult EnumerationErmSequential(
-    const Graph& graph, const TrainingSet& examples, int ell,
-    std::span<const FormulaRef> formulas,
-    const std::vector<std::string>& query_vars,
-    const std::vector<std::string>& param_vars, ResourceGovernor* governor,
-    const EvalOptions& eval) {
-  EnumerationErmResult best;
-  ForEachTuple(graph.order(), ell, [&](const std::vector<int64_t>& raw) {
-    std::vector<Vertex> parameters(raw.begin(), raw.end());
-    for (const FormulaRef& formula : formulas) {
-      if (!GovernorCheckpoint(governor)) return false;
-      Hypothesis candidate{formula, query_vars, param_vars, parameters};
-      double error = TrainingError(graph, candidate, examples, eval);
-      ++best.formulas_tried;
-      if (best.hypothesis.formula == nullptr || error < best.training_error) {
-        best.hypothesis = std::move(candidate);
-        best.training_error = error;
-        if (error == 0.0) return false;
-      }
-    }
-    return true;
-  });
-  best.status = GovernorStatus(governor);
-  return best;
+ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
+                        int ell, const ErmOptions& options,
+                        std::shared_ptr<TypeRegistry> registry,
+                        bool early_stop) {
+  FOLEARN_CHECK_GE(ell, 0);
+  return TypeMajoritySweep(
+      graph, examples, SaturatingPow(graph.order(), ell),
+      [&](int64_t index) {
+        std::vector<int64_t> raw = NthTuple(graph.order(), ell, index);
+        return std::vector<Vertex>(raw.begin(), raw.end());
+      },
+      options, std::move(registry), "brute", early_stop,
+      /*first_item_discount=*/0);
 }
+
+namespace {
 
 // Per-worker compiled-plan cache for the enumeration grid: each worker
 // compiles and lowers a candidate formula at most once and keeps the
@@ -438,26 +395,6 @@ EnumerationErmResult EnumerationErmGrid(
   const int64_t num_tuples = SaturatingPow(graph.order(), ell);
   const int64_t n_items =
       num_formulas == 0 ? 0 : SaturatingMul(num_tuples, num_formulas);
-  if (hooks.resume == nullptr) {
-    const int64_t allowance =
-        governor == nullptr ? kNoLimit : governor->DeterministicAllowance();
-    const int64_t full =
-        allowance == kNoLimit ? n_items : std::min(n_items, allowance);
-    if (full == 0) {
-      if (!use_prepared) {
-        return EnumerationErmSequential(graph, examples, ell, formulas,
-                                        query_vars, param_vars, governor,
-                                        candidate_eval);
-      }
-      std::vector<FormulaRef> plain;
-      plain.reserve(prepared.size());
-      for (const PreparedFormula& p : prepared) plain.push_back(p.formula);
-      return EnumerationErmSequential(graph, examples, ell, plain,
-                                      query_vars, param_vars, governor,
-                                      candidate_eval);
-    }
-  }
-
   std::vector<std::string> all_vars = query_vars;
   all_vars.insert(all_vars.end(), param_vars.begin(), param_vars.end());
   const int64_t m = static_cast<int64_t>(examples.size());

@@ -1,8 +1,10 @@
 #ifndef FOLEARN_LEARN_ERM_H_
 #define FOLEARN_LEARN_ERM_H_
 
+#include <functional>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "fo/enumerate.h"
@@ -31,21 +33,21 @@ struct ErmOptions {
   int rank = 1;     // q: quantifier-rank budget of the hypothesis class
   int radius = -1;  // r: locality radius; −1 ⇒ GaifmanRadius(rank)
   // Optional resource governor (nullptr = ungoverned). Work unit: one
-  // local-type computation. Shared across nested calls — BruteForceErm's
-  // per-candidate TypeMajorityErm calls draw from the same budget.
+  // local-type computation. Shared across nested calls — every candidate
+  // of a TypeMajoritySweep draws from the same budget.
   ResourceGovernor* governor = nullptr;
-  // Worker threads for the parameter sweep in BruteForceErm (resolved via
-  // EffectiveThreads: 0 = hardware concurrency). The result — hypothesis,
-  // error, serialised model bytes, diagnostics — is byte-identical for
-  // every thread count; see BruteForceErm below. TypeMajorityErm itself is
-  // always single-threaded (it is the per-candidate work unit).
+  // Worker threads for TypeMajoritySweep (resolved via EffectiveThreads:
+  // 0 = hardware concurrency). The result — hypothesis, error, serialised
+  // model bytes, diagnostics — is byte-identical for every thread count;
+  // see TypeMajoritySweep below. TypeMajorityErm itself is always
+  // single-threaded (it is the per-candidate work unit).
   int threads = 1;
   // Optional per-vertex ball cache bound to the same graph (nullptr =
   // fresh BFS per type computation). Not thread-safe: consulted by
-  // TypeMajorityErm, by BruteForceErm's winner re-evaluation, and by its
-  // sweep when the sweep resolves to one worker (which runs on the
-  // caller's thread); a multi-worker sweep creates one cache per worker
-  // internally. Results are identical either way.
+  // TypeMajorityErm, by the sweep's winner re-evaluation, and by the sweep
+  // itself when it resolves to one worker (which runs on the caller's
+  // thread); a multi-worker sweep creates one cache per worker internally.
+  // Results are identical either way.
   BallCache* ball_cache = nullptr;
   // Byte budget for each internally created per-worker ball cache
   // (BallCache::kNoBudget = unbounded). Purely a memory/perf knob —
@@ -58,8 +60,8 @@ struct ErmOptions {
   // kResourceExhausted and returns best-so-far. Accounting never changes
   // results — only whether and when the governor cuts.
   MemBudget* mem_budget = nullptr;
-  // Checkpoint/resume hooks for BruteForceErm's parameter scan (default:
-  // off). With a checkpointer the scan persists its frontier between
+  // Checkpoint/resume hooks for TypeMajoritySweep's parameter scan
+  // (default: off). With a checkpointer the scan persists its frontier between
   // candidate segments; with `scan.resume` it continues a saved scan and
   // produces the byte-identical result (model, error, governor ledger) of
   // the uninterrupted run. See learn/search_state.h.
@@ -96,15 +98,13 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
                           const ErmOptions& options,
                           std::shared_ptr<TypeRegistry> registry = nullptr);
 
-// Algorithm 1 / Proposition 11: brute force over all w̄ ∈ V(G)^ℓ
-// (n^ℓ · m type computations; FPT for constant ℓ). Returns the best
-// hypothesis found; scans parameters in lexicographic order and keeps the
-// first minimiser, so the result is deterministic. With `early_stop` the
-// scan ends at the first zero-error candidate (disable it to measure the
-// full n^ℓ cost). Anytime: if `options.governor` trips mid-scan, the best
-// candidate fully evaluated so far is returned (deterministically for a
-// work-budget or injected trip — same inputs + same budget ⇒ identical
-// result).
+// The one parameter sweep behind every type-majority learner: the argmin,
+// over candidates 0…num_candidates−1, of TypeMajorityErm on
+// parameters_at(index). BruteForceErm, SublinearErm and the nowhere-dense
+// learner's final phase differ only in where their candidates come from
+// (V^ℓ, the example pool^ℓ, a collected list; tuples may differ in
+// length). The first minimiser wins; with `early_stop` the scan ends at
+// the first zero-error candidate.
 //
 // The sweep splits (example, candidate) pairs into far and near. A pair
 // is far when no entry of w̄ lies in N_{2r+1}(v̄): the r-balls of v̄ and w̄
@@ -115,15 +115,39 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
 // pair costs one governor work unit, and the candidate's error is the one
 // TypeMajorityErm reports.
 //
-// The candidate errors are evaluated on per-worker type-registry shards
-// (in parallel with options.threads > 1; deterministic index-ordered
-// argmin), and the winning candidate is then re-evaluated directly, on
-// `registry`, so TypeIds, serialised model bytes, governor work
-// accounting, and every diagnostic are identical to a single-threaded scan
-// of direct TypeMajorityErm calls. Deterministic governor limits (work budget, fault
-// injector) fix the evaluated range up front and are charged as the
+// Candidate errors are evaluated on per-worker type-registry shards (in
+// parallel with options.threads > 1; deterministic index-ordered argmin),
+// and the winning candidate is then re-evaluated directly, on `registry`
+// (nullptr = a fresh one), so TypeIds, serialised model bytes, governor
+// work accounting, and every diagnostic are identical to a
+// single-threaded scan of direct TypeMajorityErm calls. Each candidate
+// costs m + 1 governor units (an outer checkpoint plus one per example),
+// except that `first_item_discount` = 1 waives candidate 0's outer
+// checkpoint. Deterministic governor limits (work budget, fault injector)
+// fix the evaluated range up front and are charged as the
 // sequential-equivalent batch; the wall-clock deadline is polled
-// cooperatively per candidate.
+// cooperatively per candidate. options.scan checkpoints and resumes the
+// scan under the tag `learner` (see learn/search_state.h).
+//
+// Anytime: if the governor trips mid-scan, the best candidate fully
+// evaluated so far is returned (deterministically for a work-budget or
+// injected trip). If no candidate completes, candidate 0 is evaluated
+// governed on `registry` — a partial vote over the examples seen before
+// the trip — so the result always carries a serialisable hypothesis. An
+// empty range yields the parameter-free hypothesis.
+// `parameter_tuples_tried` is the sequential-equivalent count of
+// candidates started.
+ErmResult TypeMajoritySweep(
+    const Graph& graph, const TrainingSet& examples, int64_t num_candidates,
+    const std::function<std::vector<Vertex>(int64_t)>& parameters_at,
+    const ErmOptions& options, std::shared_ptr<TypeRegistry> registry,
+    std::string_view learner, bool early_stop, int64_t first_item_discount);
+
+// Algorithm 1 / Proposition 11: brute force over all w̄ ∈ V(G)^ℓ
+// (n^ℓ · m type computations; FPT for constant ℓ), scanned in
+// lexicographic order through TypeMajoritySweep (learner tag "brute"). With
+// `early_stop` the scan ends at the first zero-error candidate (disable it
+// to measure the full n^ℓ cost).
 ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
                         int ell, const ErmOptions& options,
                         std::shared_ptr<TypeRegistry> registry = nullptr,

@@ -10,7 +10,6 @@
 #include "nd/covering.h"
 #include "types/type.h"
 #include "util/combinatorics.h"
-#include "util/parallel.h"
 
 namespace folearn {
 
@@ -414,8 +413,13 @@ NdLearnerResult LearnNowhereDense(const Graph& graph,
   FOLEARN_CHECK_GE(options.ell_star, 1);
   FOLEARN_CHECK_GT(options.epsilon, 0.0);
   NdLearnerResult result;
+  const int final_radius = options.final_radius >= 0
+                               ? options.final_radius
+                               : 2 * options.EffectiveRadius() + 1;
+  ErmOptions erm_options{options.rank, final_radius, options.governor};
   if (examples.empty()) {
-    result.erm.training_error = 0.0;
+    // Nothing to fit: the parameter-free hypothesis, which rejects all.
+    result.erm = TypeMajorityErm(graph, examples, {}, erm_options);
     return result;
   }
   const int k = static_cast<int>(examples[0].tuple.size());
@@ -437,7 +441,7 @@ NdLearnerResult LearnNowhereDense(const Graph& graph,
   // Resuming: the saved frontier was written during the final phase, so the
   // original process completed collection before dying, and collection is a
   // deterministic pure function of the inputs — replay it ungoverned. Its
-  // original charge is part of the restored ledger, which RunResumableScan
+  // original charge is part of the restored ledger, which the final sweep
   // primes below; charging the replay too would double-count it.
   const bool resuming = options.scan.resume != nullptr;
   NdLearnerOptions collect_options = options;
@@ -447,116 +451,20 @@ NdLearnerResult LearnNowhereDense(const Graph& graph,
   collector.Collect(root, 0, {});
 
   // Final phase: evaluate every candidate parameter tuple by type-majority
-  // ERM on the original graph; keep the best.
-  const int final_radius = options.final_radius >= 0
-                               ? options.final_radius
-                               : 2 * options.EffectiveRadius() + 1;
-  ErmOptions erm_options{options.rank, final_radius, options.governor};
-  auto registry = std::make_shared<TypeRegistry>(graph.vocabulary());
+  // ERM on the original graph through the shared sweep and keep the best.
+  // Candidate 0 (the empty prefix) has no leading outer checkpoint — it
+  // runs even under a tripped governor — hence the first-item discount.
+  erm_options.threads = options.threads;
+  erm_options.cache_bytes = options.cache_bytes;
+  erm_options.scan = options.scan;
   const std::vector<std::vector<Vertex>>& candidates = collector.candidates();
-  const int64_t num_candidates = static_cast<int64_t>(candidates.size());
-  const int64_t m = static_cast<int64_t>(examples.size());
-  // Sequential checkpoint cost: candidate 0 pays m (no leading outer
-  // checkpoint — it runs even under a tripped governor); every later
-  // candidate pays 1 + m. After p ≥ 1 complete candidates the scan has
-  // spent p·(m+1) − 1 checkpoints.
-  const int64_t unit = m + 1;
-  ResourceGovernor* governor = options.governor;
-  const int64_t allowance =
-      governor == nullptr || resuming ? kNoLimit
-                                      : governor->DeterministicAllowance();
-  const int64_t full = allowance == kNoLimit
-                           ? num_candidates
-                           : std::min(num_candidates, (allowance + 1) / unit);
-  if (full == 0 && !resuming) {
-    // Not even the first candidate can complete (or there are none): keep
-    // the sequential loop, whose partial-first-candidate semantics the
-    // parallel path cannot reproduce more cheaply.
-    bool have_complete = false;
-    bool first = true;
-    for (const std::vector<Vertex>& candidate : candidates) {
-      if (!first && !GovernorCheckpoint(governor)) break;
-      ErmResult erm =
-          TypeMajorityErm(graph, examples, candidate, erm_options, registry);
-      ++result.candidates_evaluated;
-      const bool complete = erm.status == RunStatus::kComplete;
-      if (first || (complete &&
-                    (!have_complete ||
-                     erm.training_error < result.erm.training_error))) {
-        result.erm = std::move(erm);
-        result.parameters = candidate;
-      }
-      first = false;
-      have_complete = have_complete || complete;
-      if (have_complete && result.erm.training_error == 0.0) break;
-      if (GovernorInterrupted(governor)) break;
-    }
-    result.status = GovernorStatus(governor);
-    result.erm.status = result.status;
-    return result;
-  }
-
-  // Same evaluate-then-settle scheme as BruteForceErm: errors in [0, full)
-  // on per-worker registry shards and ball caches, deterministic argmin
-  // with ties to the lowest index, then the winner alone is re-evaluated
-  // on the shared registry so its TypeIds are thread-count independent.
-  const int workers = EffectiveThreads(options.threads);
-  std::vector<std::shared_ptr<TypeRegistry>> shards(workers);
-  std::vector<std::unique_ptr<BallCache>> caches(workers);
-  ErmOptions shard_base = erm_options;
-  shard_base.governor = nullptr;
-
-  ScanSpec spec;
-  spec.n_items = num_candidates;
-  spec.unit = unit;
-  // Candidate 0 of a fresh scan pays m, not m + 1 (no leading outer
-  // checkpoint); RunResumableScan's discount reproduces the sequential
-  // ledger exactly, resumed or not.
-  spec.first_item_discount = 1;
-  spec.early_stop = true;  // the sequential loop stops at zero error
-  spec.threads = workers;
-  spec.chunk_size = 1;  // few, expensive candidates
-  spec.governor = governor;
-  spec.checkpointer = options.scan.checkpointer;
-  spec.resume = options.scan.resume;
-  spec.learner = "nd";
-  spec.fingerprint = options.scan.fingerprint;
-  ScanOutcome outcome = RunResumableScan(
-      spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
-        if (shards[worker] == nullptr) {
-          shards[worker] = std::make_shared<TypeRegistry>(graph.vocabulary());
-          caches[worker] =
-              std::make_unique<BallCache>(graph, options.cache_bytes);
-        }
-        ErmOptions local = shard_base;
-        local.ball_cache = caches[worker].get();
-        ErmResult erm = TypeMajorityErm(graph, examples, candidates[index],
-                                        local, shards[worker]);
-        return {erm.training_error, erm.training_error == 0.0};
-      });
-  const int64_t winner = outcome.winner;
-  result.candidates_evaluated = outcome.tried;
-
-  if (winner < 0) {
-    // Passive stop before the first candidate finished: evaluate it under
-    // the (about to latch) governor, like the sequential loop's
-    // unconditional first iteration. The parallel path only runs with at
-    // least one candidate (full >= 1, or a resumed scan of such a run).
-    FOLEARN_CHECK_GT(num_candidates, 0);
-    if (governor != nullptr) governor->CheckpointBatch(1);
-    result.erm = TypeMajorityErm(graph, examples, candidates[0], erm_options,
-                                 registry);
-    result.parameters = candidates[0];
-    result.candidates_evaluated = 1;
-  } else {
-    ErmOptions winner_options = erm_options;
-    winner_options.governor = nullptr;
-    result.erm = TypeMajorityErm(graph, examples, candidates[winner],
-                                 winner_options, registry);
-    result.parameters = candidates[winner];
-  }
-  result.status = GovernorStatus(governor);
-  result.erm.status = result.status;
+  result.erm = TypeMajoritySweep(
+      graph, examples, static_cast<int64_t>(candidates.size()),
+      [&](int64_t index) { return candidates[index]; }, erm_options, nullptr,
+      "nd", /*early_stop=*/true, /*first_item_discount=*/1);
+  result.parameters = result.erm.hypothesis.parameters;
+  result.candidates_evaluated = result.erm.parameter_tuples_tried;
+  result.status = result.erm.status;
   return result;
 }
 

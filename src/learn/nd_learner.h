@@ -34,7 +34,10 @@ namespace folearn {
 //     shared isolated type-vertices t_{I,θ}).
 //  7. Recurse; after ≤ s steps, evaluate every collected parameter
 //     candidate by type-majority ERM on the original graph and return the
-//     best hypothesis.
+//     best hypothesis. This final phase is a TypeMajoritySweep over the
+//     collected list (learner tag "nd", radius `final_radius`, candidate
+//     0's outer checkpoint waived), with BruteForceErm's far-pair
+//     composition and determinism guarantees.
 //
 // Substitutions from the paper (all in DESIGN.md §4): type-majority ERM
 // instead of formula enumeration; realised types only for the t_{I,θ}
@@ -57,9 +60,9 @@ struct NdLearnerOptions {
   ResourceGovernor* governor = nullptr;
   // Worker threads for the final candidate-evaluation phase (0 = hardware
   // concurrency). Deterministic: the returned hypothesis, error, and
-  // diagnostics are identical for any value — see BruteForceErm for the
-  // mechanism. The collection recursion itself stays single-threaded (its
-  // steps are sequentially dependent).
+  // diagnostics are identical for any value — see TypeMajoritySweep for
+  // the mechanism. The collection recursion itself stays single-threaded
+  // (its steps are sequentially dependent).
   int threads = 1;
   // Byte budget for the final phase's per-worker ball caches
   // (BallCache::kNoBudget = unbounded); results are budget-independent.
@@ -94,7 +97,9 @@ struct NdStepStats {
 };
 
 struct NdLearnerResult {
-  ErmResult erm;  // best hypothesis (types over the original graph) + error
+  // Best hypothesis (types over the original graph) + error;
+  // erm.parameter_tuples_tried equals candidates_evaluated.
+  ErmResult erm;
   // kComplete: the full pipeline ran. Otherwise the governor tripped and
   // `erm` is the best candidate evaluated before the interruption.
   RunStatus status = RunStatus::kComplete;

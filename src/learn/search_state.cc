@@ -306,12 +306,13 @@ ScanOutcome RunResumableScan(
     int64_t charge;
     if (segment.passive_stop) {
       // Deadline/cancellation: timing-dependent, like the sequential
-      // deadline path; the trailing unit latches the trip.
+      // deadline path; the trailing unit latches the trip. With nothing
+      // evaluated under a first-item discount, that unit is the first
+      // checkpoint inside candidate 0.
       passive = true;
       out.tried += segment.evaluated;
-      charge = segment.evaluated == 0 && seg_discount == 1
-                   ? 0
-                   : segment.evaluated * spec.unit + 1 - seg_discount;
+      charge = std::max<int64_t>(
+          1, segment.evaluated * spec.unit + 1 - seg_discount);
     } else if (segment.first_hit >= 0) {
       hit = true;
       out.tried += segment.first_hit + 1;

@@ -17,14 +17,15 @@ namespace folearn {
 
 // Checkpoint/resume for the library's search loops.
 //
-// Every anytime scan in this code base — BruteForceErm's n^ℓ parameter
-// sweep, EnumerationErm's tuple×formula grid, SublinearErm's pool^ℓ scan,
-// the nd-learner's final candidate evaluation — is an argmin over a fixed
-// index range whose interruption points are already deterministic (PR 2's
-// governor). That makes the entire search state a tiny *frontier*: the
-// next index to evaluate, the best (error, index) so far, and the governor
-// ledger. `RunResumableScan` factors the evaluate-then-settle scheme those
-// loops share, and — when a `SearchCheckpointer` is attached — persists the
+// Every anytime scan in this code base — TypeMajoritySweep (the parameter
+// scan of BruteForceErm, SublinearErm and the nd-learner's final phase)
+// and EnumerationErm's tuple×formula grid — is an argmin over a fixed
+// index range whose interruption points are already deterministic (the
+// governor's work budget and fault injector). That makes the entire
+// search state a tiny *frontier*: the next index to evaluate, the best
+// (error, index) so far, and the governor ledger. `RunResumableScan`
+// factors the evaluate-then-settle scheme those two scans share, and —
+// when a `SearchCheckpointer` is attached — persists the
 // frontier after every segment of candidates, so a killed process can be
 // restarted with `--resume` and produce the byte-identical model, training
 // error, and governor diagnostics of an uninterrupted run, for any thread
@@ -124,9 +125,9 @@ struct ScanHooks {
   uint64_t fingerprint = 0;
 };
 
-// One resumable argmin scan. The charging model generalises all four
-// search loops: evaluating candidate i costs `unit` governor units, except
-// that the very first candidate of a fresh scan may be `first_item_discount`
+// One resumable argmin scan. The charging model covers every search
+// loop: evaluating candidate i costs `unit` governor units, except that
+// the very first candidate of a fresh scan may be `first_item_discount`
 // units cheaper (the nd-learner's final phase runs its first candidate
 // without a leading outer checkpoint; every other loop has discount 0).
 struct ScanSpec {
@@ -168,12 +169,10 @@ struct ScanOutcome {
 // whenever the checkpointer says a save is due. `eval(index, worker)`
 // returns (error, hit) and must be safe to call concurrently (mutable
 // scratch per worker). On resume the governor ledger is primed via
-// RestoreLedger before anything is charged.
-//
-// Callers keep two responsibilities: the full==0 sequential fallback
-// (when not even one candidate fits the allowance — partial-candidate
-// semantics live there), and re-evaluating the winner on their own
-// registry.
+// RestoreLedger before anything is charged. An interrupted scan latches
+// the trip with one trailing unit (the failing checkpoint of the
+// sequential loop), so `winner` = −1 on a non-empty range leaves the
+// governor tripped.
 ScanOutcome RunResumableScan(
     const ScanSpec& spec,
     const std::function<std::pair<double, bool>(int64_t, int)>& eval);

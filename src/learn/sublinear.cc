@@ -7,51 +7,9 @@
 #include <utility>
 
 #include "graph/algorithms.h"
-#include "learn/search_state.h"
 #include "util/combinatorics.h"
-#include "util/parallel.h"
 
 namespace folearn {
-
-namespace {
-
-// The original single-threaded pool scan, kept as the fallback for ranges
-// whose allowance cannot fit even one candidate (partial-first-candidate
-// semantics) — mirrors BruteForceErmSequential.
-void SublinearScanSequential(const Graph& graph, const TrainingSet& examples,
-                             int ell, const ErmOptions& options,
-                             std::span<const Vertex> pool,
-                             std::shared_ptr<TypeRegistry> registry,
-                             SublinearErmResult* result) {
-  bool have_complete = false;
-  int64_t tried = 0;
-  ForEachTuple(static_cast<int64_t>(pool.size()), ell,
-               [&](const std::vector<int64_t>& raw) {
-                 if (!GovernorCheckpoint(options.governor)) return false;
-                 std::vector<Vertex> parameters;
-                 parameters.reserve(raw.size());
-                 for (int64_t index : raw) parameters.push_back(pool[index]);
-                 ErmResult candidate = TypeMajorityErm(
-                     graph, examples, parameters, options, registry);
-                 ++tried;
-                 if (candidate.status == RunStatus::kComplete) {
-                   if (!have_complete ||
-                       candidate.training_error <
-                           result->erm.training_error) {
-                     result->erm = std::move(candidate);
-                     have_complete = true;
-                   }
-                 } else if (tried == 1) {
-                   result->erm = std::move(candidate);
-                 }
-                 if (GovernorInterrupted(options.governor)) return false;
-                 return result->erm.training_error > 0.0 || !have_complete;
-               });
-  result->erm.parameter_tuples_tried = tried;
-  result->erm.status = GovernorStatus(options.governor);
-}
-
-}  // namespace
 
 SublinearErmResult SublinearErm(const Graph& graph,
                                 const TrainingSet& examples, int ell,
@@ -92,80 +50,21 @@ SublinearErmResult SublinearErm(const Graph& graph,
   result.candidate_pool_size = static_cast<int64_t>(pool.size());
 
   // Brute force over pool^ell (pool is example-local, so this is
-  // m·d^{O(r)}-sized, not n-sized), with the same evaluate-then-settle
-  // scheme as BruteForceErm: errors on per-worker registry shards, then the
-  // winner alone re-evaluated on the caller's registry so TypeIds,
-  // serialised model bytes, and diagnostics are identical for any thread
-  // count — and for a resumed scan. Anytime: keeps the best fully
-  // evaluated candidate when the governor trips mid-scan.
-  const int64_t n_items = SaturatingPow(static_cast<int64_t>(pool.size()),
-                                        ell);
-  const int64_t m = static_cast<int64_t>(examples.size());
-  const int64_t unit = m + 1;
-  ResourceGovernor* governor = options.governor;
-
-  if (options.scan.resume == nullptr) {
-    const int64_t allowance =
-        governor == nullptr ? kNoLimit : governor->DeterministicAllowance();
-    const int64_t full =
-        allowance == kNoLimit ? n_items : std::min(n_items, allowance / unit);
-    if (full == 0) {
-      SublinearScanSequential(graph, examples, ell, options, pool, registry,
-                              &result);
-      return result;
-    }
-  }
-
-  const int workers = EffectiveThreads(options.threads);
-  std::vector<std::shared_ptr<TypeRegistry>> shards(workers);
-  std::vector<std::unique_ptr<BallCache>> caches(workers);
-  ErmOptions shard_options = options;
-  shard_options.governor = nullptr;
-  shard_options.threads = 1;
-
-  ScanSpec spec;
-  spec.n_items = n_items;
-  spec.unit = unit;
-  spec.early_stop = true;  // the sequential loop stops at zero error
-  spec.threads = workers;
-  spec.chunk_size = 8;
-  spec.governor = governor;
-  spec.checkpointer = options.scan.checkpointer;
-  spec.resume = options.scan.resume;
-  spec.learner = "sublinear";
-  spec.fingerprint = options.scan.fingerprint;
-  ScanOutcome outcome = RunResumableScan(
-      spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
-        if (shards[worker] == nullptr) {
-          shards[worker] = std::make_shared<TypeRegistry>(graph.vocabulary());
-          caches[worker] =
-              std::make_unique<BallCache>(graph, options.cache_bytes);
-        }
-        std::vector<int64_t> raw =
-            NthTuple(static_cast<int64_t>(pool.size()), ell, index);
+  // m·d^{O(r)}-sized, not n-sized) through the shared type-majority sweep:
+  // the same far-pair composition, anytime semantics, determinism across
+  // thread counts and resumable frontier as BruteForceErm.
+  const int64_t pool_size = static_cast<int64_t>(pool.size());
+  result.erm = TypeMajoritySweep(
+      graph, examples, SaturatingPow(pool_size, ell),
+      [&](int64_t index) {
         std::vector<Vertex> parameters;
-        parameters.reserve(raw.size());
-        for (int64_t pool_index : raw) parameters.push_back(pool[pool_index]);
-        ErmOptions local = shard_options;
-        local.ball_cache = caches[worker].get();
-        ErmResult candidate = TypeMajorityErm(graph, examples, parameters,
-                                              local, shards[worker]);
-        return {candidate.training_error, candidate.training_error == 0.0};
-      });
-
-  if (outcome.winner >= 0) {
-    std::vector<int64_t> raw =
-        NthTuple(static_cast<int64_t>(pool.size()), ell, outcome.winner);
-    std::vector<Vertex> parameters;
-    parameters.reserve(raw.size());
-    for (int64_t pool_index : raw) parameters.push_back(pool[pool_index]);
-    ErmOptions winner_options = options;
-    winner_options.governor = nullptr;
-    result.erm = TypeMajorityErm(graph, examples, parameters, winner_options,
-                                 registry);
-  }
-  result.erm.parameter_tuples_tried = outcome.tried;
-  result.erm.status = GovernorStatus(options.governor);
+        for (int64_t i : NthTuple(pool_size, ell, index)) {
+          parameters.push_back(pool[i]);
+        }
+        return parameters;
+      },
+      options, registry, "sublinear", /*early_stop=*/true,
+      /*first_item_discount=*/0);
   return result;
 }
 

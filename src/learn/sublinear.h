@@ -41,6 +41,10 @@ struct SublinearErmResult {
 // representative per extra slot (a far parameter's contribution is
 // example-independent, so one representative suffices). Runtime depends on
 // m and the local degree structure, not on n. `ell` ≤ 2 recommended.
+// The pool^ℓ scan runs on TypeMajoritySweep (learner tag "sublinear"),
+// so it shares BruteForceErm's far-pair composition, thread-count
+// determinism, governor accounting and checkpoint/resume; a run cut
+// before any candidate completes returns candidate 0's partial vote.
 SublinearErmResult SublinearErm(const Graph& graph,
                                 const TrainingSet& examples, int ell,
                                 const ErmOptions& options);

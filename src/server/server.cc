@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -896,12 +897,7 @@ bool ParseSessionId(const Message& request, uint64_t* id,
         MakeError(kExitUsage, "request requires a 'session' field");
     return false;
   }
-  try {
-    size_t pos = 0;
-    unsigned long long wide = std::stoull(*raw, &pos);
-    if (pos != raw->size()) throw std::invalid_argument(*raw);
-    *id = wide;
-  } catch (const std::exception&) {
+  if (!ParseU64(*raw, id)) {
     *error_response =
         MakeError(kExitUsage, "invalid session id '" + *raw + "'");
     return false;
@@ -1218,19 +1214,14 @@ bool ParseTupleField(const std::string& text, std::vector<Vertex>* tuple,
     while (end < text.size() && text[end] != ' ' && text[end] != '\t') {
       ++end;
     }
-    try {
-      size_t used = 0;
-      const std::string token = text.substr(pos, end - pos);
-      long long value = std::stoll(token, &used);
-      if (used != token.size() || value < 0) {
-        throw std::invalid_argument(token);
-      }
-      tuple->push_back(static_cast<Vertex>(value));
-    } catch (const std::exception&) {
-      *error = "invalid vertex '" + text.substr(pos, end - pos) +
-               "' in field 'tuple'";
+    const std::string_view token(text.data() + pos, end - pos);
+    uint64_t value = 0;
+    if (!ParseU64(token, &value) ||
+        value > static_cast<uint64_t>(std::numeric_limits<Vertex>::max())) {
+      *error = "invalid vertex '" + std::string(token) + "' in field 'tuple'";
       return false;
     }
+    tuple->push_back(static_cast<Vertex>(value));
     pos = end;
   }
   if (tuple->empty()) {

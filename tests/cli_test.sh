@@ -190,6 +190,29 @@ grep -q '^hypothesis ' "$DIR/m_cut.txt"
     2> /dev/null || true
 cmp -s "$DIR/m_cut.txt" "$DIR/m_cut2.txt"
 
+# A zero deadline cuts every learner before its first candidate completes:
+# each still writes a loadable model (candidate 0's partial vote) and
+# exits 3, never aborting.
+for learner in brute sublinear nd; do
+  rc=0
+  "$CLI" learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --rank 1 \
+      --radius 1 --ell 1 --learner "$learner" --timeout-ms 0 \
+      --out "$DIR/m_t0_$learner.txt" 2> "$DIR/t0_$learner.log" || rc=$?
+  [ "$rc" -eq 3 ] || { echo "$learner --timeout-ms 0: exit $rc" >&2; exit 1; }
+  grep -q 'resource limit hit (deadline-exceeded)' "$DIR/t0_$learner.log"
+  "$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+      --model "$DIR/m_t0_$learner.txt" > /dev/null
+done
+
+# An empty training set gives every learner the parameter-free model.
+echo "examples 1" > "$DIR/d_empty.txt"
+for learner in brute sublinear nd; do
+  "$CLI" learn --graph "$DIR/g.txt" --data "$DIR/d_empty.txt" --rank 1 \
+      --radius 1 --learner "$learner" --out "$DIR/m_empty_$learner.txt" \
+      2> /dev/null
+  grep -q '^hypothesis k 0 ell 0$' "$DIR/m_empty_$learner.txt"
+done
+
 # mc under a tiny budget refuses to report a truth value (exit 3).
 rc=0
 out=$("$CLI" mc --graph "$DIR/g.txt" \

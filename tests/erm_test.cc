@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "learn/erm.h"
 #include "learn/model_io.h"
+#include "learn/sublinear.h"
 #include "util/rng.h"
 
 namespace folearn {
@@ -202,15 +203,18 @@ TEST(TypeMajorityErm, PairQueries) {
 }
 
 
-// Oracle grid: BruteForceErm's sweep composes the local types of far
-// (example, candidate) pairs instead of computing them. Its result must be
-// exactly that of a first-minimiser scan of direct TypeMajorityErm over
-// every candidate — parameters, error and model bytes — at any thread
-// count.
+// Oracle grid: the shared sweep composes the local types of far
+// (example, candidate) pairs instead of computing them. For each of its
+// candidate sources — all of V^ℓ (BruteForceErm), the example pool^ℓ
+// (SublinearErm) and an explicit list of mixed-length tuples (the
+// nowhere-dense learner's final phase) — the result must be exactly that
+// of a first-minimiser scan of direct TypeMajorityErm over the same
+// candidates: parameters, error and model bytes, at any thread count.
 enum class OracleFamily { kTree, kGrid, kSparseRandom, kDisconnected };
+enum class OracleSource { kAll, kPool, kList };
 
 using OracleParam = std::tuple<OracleFamily, int /*q*/, int /*r*/,
-                               int /*k*/, int /*ell*/>;
+                               int /*k*/, int /*ell*/, OracleSource>;
 
 Graph MakeOracleGraph(OracleFamily family, int n, Rng& rng) {
   switch (family) {
@@ -241,10 +245,32 @@ Graph MakeOracleGraph(OracleFamily family, int n, Rng& rng) {
   return Graph(0);
 }
 
+// SublinearErm's pool: every vertex within 2r+1 of an example entry, then
+// the first vertex outside that neighbourhood.
+std::vector<Vertex> ExamplePool(const Graph& g, const TrainingSet& examples,
+                                int radius) {
+  std::vector<Vertex> sources;
+  for (const LabeledExample& example : examples) {
+    sources.insert(sources.end(), example.tuple.begin(), example.tuple.end());
+  }
+  std::vector<int> dist = BfsDistances(g, sources, 2 * radius + 1);
+  std::vector<Vertex> pool;
+  Vertex far = kNoVertex;
+  for (Vertex v = 0; v < g.order(); ++v) {
+    if (dist[v] != kUnreachable) {
+      pool.push_back(v);
+    } else if (far == kNoVertex) {
+      far = v;
+    }
+  }
+  if (far != kNoVertex) pool.push_back(far);
+  return pool;
+}
+
 class ErmOracleGrid : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(ErmOracleGrid, SweepEqualsFirstMinimiserOfDirectScan) {
-  const auto [family, q, r, k, ell] = GetParam();
+  const auto [family, q, r, k, ell, source] = GetParam();
   Rng rng(1000 + 100 * static_cast<int>(family) + 10 * q + r + 3 * k + ell);
   // Rank-2 models are large formulas (most of this test's time goes into
   // printing them): smaller graphs and fewer examples keep the grid fast
@@ -260,11 +286,34 @@ TEST_P(ErmOracleGrid, SweepEqualsFirstMinimiserOfDirectScan) {
   options.rank = q;
   options.radius = r;
 
+  std::vector<std::vector<Vertex>> candidates;
+  const std::vector<Vertex> pool =
+      ExamplePool(g, examples, options.EffectiveRadius());
+  if (source == OracleSource::kAll) {
+    candidates = AllTuples(g.order(), ell);
+  } else if (source == OracleSource::kPool) {
+    for (const std::vector<Vertex>& raw :
+         AllTuples(static_cast<int>(pool.size()), ell)) {
+      std::vector<Vertex> parameters;
+      for (Vertex index : raw) parameters.push_back(pool[index]);
+      candidates.push_back(parameters);
+    }
+  } else {
+    // The empty tuple first, then random tuples of length 0…ℓ, repeats
+    // included.
+    candidates.push_back({});
+    for (int i = 0; i < 12; ++i) {
+      candidates.push_back(
+          SampleTuples(g.order(), static_cast<int>(rng.UniformIndex(ell + 1)),
+                       1, rng)[0]);
+    }
+  }
+
   // The oracle: every candidate on its own fresh registry, direct types,
   // first strict minimiser kept.
   ErmResult oracle;
   int64_t oracle_tried = 0;
-  for (const std::vector<Vertex>& parameters : AllTuples(g.order(), ell)) {
+  for (const std::vector<Vertex>& parameters : candidates) {
     ErmResult candidate = TypeMajorityErm(g, examples, parameters, options);
     ++oracle_tried;
     if (oracle_tried == 1 ||
@@ -279,7 +328,20 @@ TEST_P(ErmOracleGrid, SweepEqualsFirstMinimiserOfDirectScan) {
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     options.threads = threads;
-    ErmResult swept = BruteForceErm(g, examples, ell, options);
+    ErmResult swept;
+    if (source == OracleSource::kAll) {
+      swept = BruteForceErm(g, examples, ell, options);
+    } else if (source == OracleSource::kPool) {
+      SublinearErmResult sublinear = SublinearErm(g, examples, ell, options);
+      EXPECT_EQ(sublinear.candidate_pool_size,
+                static_cast<int64_t>(pool.size()));
+      swept = sublinear.erm;
+    } else {
+      swept = TypeMajoritySweep(
+          g, examples, static_cast<int64_t>(candidates.size()),
+          [&](int64_t index) { return candidates[index]; }, options,
+          nullptr, "list", /*early_stop=*/true, /*first_item_discount=*/1);
+    }
     EXPECT_EQ(swept.hypothesis.parameters, oracle.hypothesis.parameters);
     EXPECT_EQ(swept.training_error, oracle.training_error);
     EXPECT_EQ(swept.distinct_types_seen, oracle.distinct_types_seen);
@@ -290,10 +352,12 @@ TEST_P(ErmOracleGrid, SweepEqualsFirstMinimiserOfDirectScan) {
 
 std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
   const char* families[] = {"tree", "grid", "sparse", "disconnected"};
-  const auto [family, q, r, k, ell] = info.param;
+  const char* sources[] = {"", "_pool", "_list"};
+  const auto [family, q, r, k, ell, source] = info.param;
   return std::string(families[static_cast<int>(family)]) + "_q" +
          std::to_string(q) + "_r" + std::to_string(r) + "_k" +
-         std::to_string(k) + "_ell" + std::to_string(ell);
+         std::to_string(k) + "_ell" + std::to_string(ell) +
+         sources[static_cast<int>(source)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -303,7 +367,21 @@ INSTANTIATE_TEST_SUITE_P(
                                          OracleFamily::kSparseRandom,
                                          OracleFamily::kDisconnected),
                        ::testing::Values(0, 1, 2), ::testing::Values(0, 1, 2),
-                       ::testing::Values(1, 2), ::testing::Values(1, 2)),
+                       ::testing::Values(1, 2), ::testing::Values(1, 2),
+                       ::testing::Values(OracleSource::kAll)),
+    OracleName);
+
+// The other two sources on a smaller grid: the pool of these small graphs
+// is nearly all of V, so the full grid would mostly repeat the one above
+// (and triple its sanitizer time).
+INSTANTIATE_TEST_SUITE_P(
+    Sources, ErmOracleGrid,
+    ::testing::Combine(::testing::Values(OracleFamily::kTree,
+                                         OracleFamily::kDisconnected),
+                       ::testing::Values(1, 2), ::testing::Values(0, 1),
+                       ::testing::Values(1, 2), ::testing::Values(1, 2),
+                       ::testing::Values(OracleSource::kPool,
+                                         OracleSource::kList)),
     OracleName);
 
 }  // namespace

@@ -315,6 +315,49 @@ TEST(GovernedSublinear, ErmTripKeepsBestSoFar) {
   EXPECT_LE(result.erm.training_error, 1.0);
 }
 
+// A trip before the first candidate completes — an injected trip at the
+// very first checkpoint, or a deadline of zero — still yields candidate
+// 0's (pessimistic) vote on the caller's registry: a model that can be
+// saved and loaded, never a default-constructed shell.
+TEST(GovernedSublinear, InjectedTripAtFirstCheckpointYieldsModel) {
+  Graph g = MakePath(10);
+  AddPeriodicColor(g, "Red", 2, 0);
+  TrainingSet examples = LabelAll(g, "Red(x1)", 1);
+  for (int threads : {1, 2, 8}) {
+    FaultInjector injector(1);
+    ResourceGovernor governor(GovernorLimits{}, nullptr, &injector);
+    ErmOptions options;
+    options.governor = &governor;
+    options.threads = threads;
+    SublinearErmResult result = SublinearErm(g, examples, 1, options);
+    EXPECT_EQ(result.erm.status, RunStatus::kBudgetExhausted);
+    EXPECT_EQ(result.erm.parameter_tuples_tried, 0);
+    ASSERT_NE(result.erm.hypothesis.registry, nullptr);
+    EXPECT_EQ(result.erm.training_error, 1.0);
+    std::string text = ModelText(result.erm);
+    EXPECT_TRUE(HypothesisFromText(text).has_value()) << text;
+  }
+}
+
+TEST(GovernedSublinear, ZeroDeadlineYieldsModel) {
+  Graph g = MakePath(10);
+  AddPeriodicColor(g, "Red", 2, 0);
+  TrainingSet examples = LabelAll(g, "Red(x1)", 1);
+  for (int threads : {1, 2, 8}) {
+    GovernorLimits limits;
+    limits.deadline_ms = 0;
+    ResourceGovernor governor(limits);
+    ErmOptions options;
+    options.governor = &governor;
+    options.threads = threads;
+    SublinearErmResult result = SublinearErm(g, examples, 1, options);
+    EXPECT_EQ(result.erm.status, RunStatus::kDeadlineExceeded);
+    ASSERT_NE(result.erm.hypothesis.registry, nullptr);
+    std::string text = ModelText(result.erm);
+    EXPECT_TRUE(HypothesisFromText(text).has_value()) << text;
+  }
+}
+
 TEST(GovernedSublinear, IndexBuildReportsStatusAndIndexedPrefix) {
   Graph g = MakePath(12);
   FaultInjector injector(4);

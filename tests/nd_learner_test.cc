@@ -39,6 +39,10 @@ TEST(NdLearner, EmptyExamplesTrivial) {
   Graph g = MakePath(3);
   NdLearnerResult result = LearnNowhereDense(g, {}, {});
   EXPECT_EQ(result.erm.training_error, 0.0);
+  // The result is a real (parameter-free) model, not an empty shell.
+  ASSERT_NE(result.erm.hypothesis.registry, nullptr);
+  EXPECT_TRUE(result.erm.hypothesis.parameters.empty());
+  EXPECT_FALSE(result.erm.hypothesis.ToExplicit().formula == nullptr);
 }
 
 // The canonical parameter-demanding workload: two disjoint stars, positives

@@ -1,5 +1,5 @@
-// Determinism of the parallel sweeps: BruteForceErm, EnumerationErm, and
-// the nd-learner must return identical hypotheses, training errors,
+// Determinism of the parallel sweeps: BruteForceErm, SublinearErm,
+// EnumerationErm, and the nd-learner must return identical hypotheses, training errors,
 // diagnostics, and serialised model bytes for --threads 1/2/8 — on
 // complete runs, on early-stopped (zero-error) runs, and under injected
 // governor trips at fixed checkpoints.
@@ -16,6 +16,7 @@
 #include "learn/erm.h"
 #include "learn/model_io.h"
 #include "learn/nd_learner.h"
+#include "learn/sublinear.h"
 #include "util/governor.h"
 #include "util/rng.h"
 
@@ -280,6 +281,61 @@ TEST(ParallelDeterminism, NdLearnerUnderInjectedTrips) {
       EXPECT_EQ(result.parameters, base.parameters) << label;
       EXPECT_EQ(result.status, base.status) << label;
       EXPECT_EQ(ModelText(result.erm), ModelText(base.erm)) << label;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, SublinearAcrossThreads) {
+  const auto check = [](const Graph& graph, const TrainingSet& examples,
+                        const std::string& name) {
+    for (int ell : {1, 2}) {
+      ErmOptions options;
+      SublinearErmResult base = SublinearErm(graph, examples, ell, options);
+      for (int threads : kThreadCounts) {
+        options.threads = threads;
+        SublinearErmResult result =
+            SublinearErm(graph, examples, ell, options);
+        const std::string label = name + " ell=" + std::to_string(ell) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(result.candidate_pool_size, base.candidate_pool_size)
+            << label;
+        ExpectSameErm(base.erm, result.erm, label);
+      }
+    }
+  };
+  NoisyWorkload noisy;
+  check(noisy.graph, noisy.examples, "noisy");
+  RealisableWorkload realisable;
+  check(realisable.graph, realisable.examples, "realisable");
+}
+
+TEST(ParallelDeterminism, SublinearUnderInjectedTrips) {
+  NoisyWorkload w;
+  // Trip points spanning "before anything", mid-candidate, between
+  // candidates, and beyond the scan.
+  for (int64_t trip : {1, 2, 17, 55, 56, 57, 400, 100000}) {
+    ErmResult base;
+    int64_t base_work = -1;
+    int64_t base_checkpoints = -1;
+    for (int threads : kThreadCounts) {
+      FaultInjector injector(trip);
+      ResourceGovernor governor(GovernorLimits{}, nullptr, &injector);
+      ErmOptions options;
+      options.governor = &governor;
+      options.threads = threads;
+      ErmResult result = SublinearErm(w.graph, w.examples, 1, options).erm;
+      const std::string label = "trip=" + std::to_string(trip) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_NE(result.hypothesis.registry, nullptr) << label;
+      if (base_work < 0) {
+        base = result;
+        base_work = governor.work_used();
+        base_checkpoints = governor.checkpoints_passed();
+        continue;
+      }
+      ExpectSameErm(base, result, label);
+      EXPECT_EQ(governor.work_used(), base_work) << label;
+      EXPECT_EQ(governor.checkpoints_passed(), base_checkpoints) << label;
     }
   }
 }

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <numeric>
 #include <string_view>
 
@@ -20,6 +22,8 @@
 #include "graph/algorithms.h"
 #include "learn/erm.h"
 #include "learn/model_io.h"
+#include "learn/nd_learner.h"
+#include "learn/sublinear.h"
 #include "learn/vc.h"
 #include "nd/wcol.h"
 #include "util/rng.h"
@@ -186,6 +190,28 @@ GoldenInput MakeGoldenInput(std::string_view name) {
   return in;
 }
 
+// "{name, {params}, error, bytes, hash}": a golden row in the table's own
+// literal syntax, so a mismatch prints the row to paste.
+std::string GoldenRow(const GoldenModel& golden) {
+  std::string params;
+  for (Vertex w : golden.parameters) {
+    params += (params.empty() ? "" : ", ") + std::to_string(w);
+  }
+  char row[256];
+  std::snprintf(row, sizeof(row), "{\"%s\", {%s}, %.17g, %zu, 0x%016llxull}",
+                golden.name, params.c_str(), golden.training_error,
+                golden.bytes, static_cast<unsigned long long>(golden.hash));
+  return row;
+}
+
+// The golden row of a learned model.
+std::string GoldenRow(const char* name, const ErmResult& result) {
+  const std::string text = HypothesisToText(result.hypothesis.ToExplicit());
+  return GoldenRow(GoldenModel{name, result.hypothesis.parameters,
+                               result.training_error, text.size(),
+                               Fnv1a(text)});
+}
+
 TEST(ModelGolden, BruteForceModelBytesMatchAllDirectSweep) {
   const GoldenModel golden[] = {
       {"learn_shared", {16}, 0.27272727272727271, 4855,
@@ -202,27 +228,355 @@ TEST(ModelGolden, BruteForceModelBytesMatchAllDirectSweep) {
   for (const GoldenModel& expected : golden) {
     GoldenInput in = MakeGoldenInput(expected.name);
     for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
       ErmOptions options = in.options;
       options.threads = threads;
       ErmResult result = BruteForceErm(in.graph, in.examples, in.ell, options);
-      const std::string text =
-          HypothesisToText(result.hypothesis.ToExplicit());
-      std::string params;
-      for (Vertex w : result.hypothesis.parameters) {
-        params += (params.empty() ? "" : ", ") + std::to_string(w);
-      }
-      char actual[256];
-      std::snprintf(actual, sizeof(actual),
-                    "{\"%s\", {%s}, %.17g, %zu, 0x%016llxull}", expected.name,
-                    params.c_str(), result.training_error, text.size(),
-                    static_cast<unsigned long long>(Fnv1a(text)));
-      SCOPED_TRACE(std::string(expected.name) + " threads=" +
-                   std::to_string(threads) + " actual " + actual);
       EXPECT_EQ(result.status, RunStatus::kComplete);
-      EXPECT_EQ(result.hypothesis.parameters, expected.parameters);
-      EXPECT_EQ(result.training_error, expected.training_error);
-      EXPECT_EQ(text.size(), expected.bytes);
-      EXPECT_EQ(Fnv1a(text), expected.hash);
+      EXPECT_EQ(GoldenRow(expected.name, result), GoldenRow(expected));
+    }
+  }
+}
+
+// The same inputs through the two other candidate sources of the sweep:
+// SublinearErm's pool^ℓ scan and the nowhere-dense learner's final phase
+// over its collected candidate list. Rows recorded from the scans that
+// called TypeMajorityErm per candidate (no far-pair composition).
+TEST(ModelGolden, SublinearModelBytes) {
+  const GoldenModel golden[] = {
+      {"learn_shared", {16}, 0.27272727272727271, 4855,
+       0x37899b0378050848ull},
+      {"evaluate_text", {3}, 0.040000000000000001, 18376,
+       0x8861700d270313dcull},
+      {"rank2", {38}, 0.14285714285714285, 203135, 0xe8052921a353faccull},
+      {"ell2", {2, 6}, 0.11764705882352941, 12525, 0x2948ad8fe3c2608dull},
+      {"k2", {0}, 0.047619047619047616, 37224, 0xf6af20ec039f6b22ull},
+      {"disconnected", {1}, 0.19047619047619047, 6597,
+       0x20684c79dc9011f0ull},
+      {"realizable", {7}, 0, 2766, 0x54a55d81203626b8ull},
+  };
+  for (const GoldenModel& expected : golden) {
+    GoldenInput in = MakeGoldenInput(expected.name);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ErmOptions options = in.options;
+      options.threads = threads;
+      SublinearErmResult result =
+          SublinearErm(in.graph, in.examples, in.ell, options);
+      EXPECT_EQ(result.erm.status, RunStatus::kComplete);
+      EXPECT_EQ(GoldenRow(expected.name, result.erm), GoldenRow(expected));
+    }
+  }
+}
+
+// No rank2 row: its final phase (rank-2 types at final_radius 3 on a
+// 40-vertex tree) dominates the suite's sanitizer time; the oracle grid in
+// erm_test covers rank-2 list sources.
+TEST(ModelGolden, NowhereDenseModelBytes) {
+  const GoldenModel golden[] = {
+      {"learn_shared", {157, 4, 12}, 0.27272727272727271, 68836,
+       0x14471fb4d12c5f07ull},
+      {"evaluate_text", {}, 0.040000000000000001, 14670,
+       0x88c36300e0139d2full},
+      {"ell2", {0, 1, 2, 3, 4}, 0.11764705882352941, 145718,
+       0xebf8432ac9a48b16ull},
+      {"k2", {}, 0.047619047619047616, 39923, 0xc7cc131e7773fe36ull},
+      {"disconnected", {0}, 0.23809523809523808, 13264,
+       0xf5271bf863ba5531ull},
+      {"realizable", {}, 0.033333333333333333, 35, 0x188208e1d8f1f01dull},
+  };
+  for (const GoldenModel& expected : golden) {
+    GoldenInput in = MakeGoldenInput(expected.name);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      NdLearnerOptions options;
+      options.rank = in.options.rank;
+      options.radius = in.options.radius;
+      options.ell_star = in.ell;
+      options.threads = threads;
+      NdLearnerResult result =
+          LearnNowhereDense(in.graph, in.examples, options);
+      EXPECT_EQ(result.status, RunStatus::kComplete);
+      EXPECT_EQ(GoldenRow(expected.name, result.erm), GoldenRow(expected));
+    }
+  }
+}
+
+// Governed-trip table: every type-majority learner and the enumeration
+// grid under FaultInjector trip points and max-work budgets, at threads
+// 1/2/8. A row pins the run's status, the bits of its training error, its
+// tried count (candidates_evaluated for nd, formulas_tried for
+// enumeration), the governor ledger and the FNV-1a hash of the model text,
+// so a change to any cut point, partial vote or charge shows up here.
+struct TripRow {
+  const char* learner;  // brute | sublinear | nd | enumeration
+  const char* limit;    // "trip" (FaultInjector) or "work" (max_work)
+  int64_t value;
+  const char* status;
+  uint64_t error_bits;
+  int64_t tried;
+  int64_t work;
+  int64_t checkpoints;
+  uint64_t hash;
+};
+
+std::string FormatTripRow(const TripRow& row) {
+  char text[256];
+  std::snprintf(text, sizeof(text),
+                "{\"%s\", \"%s\", %lld, \"%s\", 0x%016llxull, %lld, %lld, "
+                "%lld, 0x%016llxull}",
+                row.learner, row.limit, static_cast<long long>(row.value),
+                row.status, static_cast<unsigned long long>(row.error_bits),
+                static_cast<long long>(row.tried),
+                static_cast<long long>(row.work),
+                static_cast<long long>(row.checkpoints),
+                static_cast<unsigned long long>(row.hash));
+  return text;
+}
+
+uint64_t ErrorBits(double error) {
+  uint64_t bits;
+  std::memcpy(&bits, &error, sizeof(bits));
+  return bits;
+}
+
+TripRow RunTripRow(const TripRow& key, int threads) {
+  Graph graph = PatternTree(16, 1);
+  const TrainingSet examples = CoinFlipExamples(16, 1, 12, 107);
+  GovernorLimits limits;
+  std::optional<FaultInjector> injector;
+  if (std::string_view(key.limit) == "trip") {
+    injector.emplace(key.value);
+  } else {
+    limits.max_work = key.value;
+  }
+  ResourceGovernor governor(limits, nullptr,
+                            injector.has_value() ? &*injector : nullptr);
+  TripRow row = key;
+  double error = 0;
+  std::string text;
+  const auto model_text = [](const ErmResult& erm) {
+    return HypothesisToText(erm.hypothesis.ToExplicit());
+  };
+  const std::string_view learner = key.learner;
+  if (learner == "enumeration") {
+    EnumerationOptions enumeration;
+    enumeration.colors = {"Red"};
+    enumeration.max_quantifier_rank = 1;
+    enumeration.max_count = 40;
+    EnumerationErmResult result =
+        EnumerationErm(graph, examples, 0, enumeration, &governor, threads);
+    error = result.training_error;
+    row.tried = result.formulas_tried;
+    if (result.hypothesis.formula != nullptr) {
+      text = HypothesisToText(result.hypothesis);
+    }
+  } else if (learner == "nd") {
+    NdLearnerOptions options;
+    options.rank = 1;
+    options.radius = 1;
+    options.governor = &governor;
+    options.threads = threads;
+    NdLearnerResult result = LearnNowhereDense(graph, examples, options);
+    error = result.erm.training_error;
+    row.tried = result.candidates_evaluated;
+    text = model_text(result.erm);
+  } else {
+    ErmOptions options{1, 1, &governor};
+    options.threads = threads;
+    ErmResult result = learner == "brute"
+                           ? BruteForceErm(graph, examples, 1, options)
+                           : SublinearErm(graph, examples, 1, options).erm;
+    error = result.training_error;
+    row.tried = result.parameter_tuples_tried;
+    text = model_text(result);
+  }
+  row.status = RunStatusName(governor.status());
+  row.error_bits = ErrorBits(error);
+  row.work = governor.work_used();
+  row.checkpoints = governor.checkpoints_passed();
+  row.hash = Fnv1a(text);
+  return row;
+}
+
+TEST(GovernedTrips, LedgerAndModelMatchRecordedTable) {
+  const TripRow table[] = {
+      {"brute", "trip", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 0, 1, 1, 0x5fbd17388ea48632ull},
+      {"brute", "trip", 2, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x5fbd17388ea48632ull},
+      {"brute", "trip", 3, "budget-exhausted",
+       0x0000000000000000ull, 1, 3, 3, 0x0bdf59664890c90full},
+      {"brute", "trip", 14, "budget-exhausted",
+       0x3fd0000000000000ull, 1, 14, 14, 0x1d89aeb6010551a6ull},
+      {"brute", "trip", 15, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 1, 15, 15, 0x1d89aeb6010551a6ull},
+      {"brute", "trip", 16, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 2, 16, 16, 0x1d89aeb6010551a6ull},
+      {"brute", "trip", 29, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 2, 29, 29, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "trip", 60, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 5, 60, 60, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "trip", 150, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 11, 150, 150, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "trip", 400, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "trip", 100000, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "work", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x5fbd17388ea48632ull},
+      {"brute", "work", 2, "budget-exhausted",
+       0x0000000000000000ull, 1, 3, 3, 0x0bdf59664890c90full},
+      {"brute", "work", 13, "budget-exhausted",
+       0x3fd0000000000000ull, 1, 14, 14, 0x1d89aeb6010551a6ull},
+      {"brute", "work", 14, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 1, 15, 15, 0x1d89aeb6010551a6ull},
+      {"brute", "work", 15, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 2, 16, 16, 0x1d89aeb6010551a6ull},
+      {"brute", "work", 60, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 5, 61, 61, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "work", 150, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 11, 151, 151, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "work", 400, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"brute", "work", 100000, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      // The one row that differs from the per-learner scans this sweep
+      // replaced: there, a trip at the first checkpoint left SublinearErm
+      // with a default-constructed hypothesis (no registry), and printing
+      // the model aborted. The shared sweep evaluates candidate 0 instead.
+      {"sublinear", "trip", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 0, 1, 1, 0x5fbd17388ea48632ull},
+      {"sublinear", "trip", 2, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x5fbd17388ea48632ull},
+      {"sublinear", "trip", 3, "budget-exhausted",
+       0x0000000000000000ull, 1, 3, 3, 0x0bdf59664890c90full},
+      {"sublinear", "trip", 14, "budget-exhausted",
+       0x3fd0000000000000ull, 1, 14, 14, 0x1d89aeb6010551a6ull},
+      {"sublinear", "trip", 15, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 1, 15, 15, 0x1d89aeb6010551a6ull},
+      {"sublinear", "trip", 16, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 2, 16, 16, 0x1d89aeb6010551a6ull},
+      {"sublinear", "trip", 29, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 2, 29, 29, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "trip", 60, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 5, 60, 60, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "trip", 150, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 11, 150, 150, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "trip", 400, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "trip", 100000, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "work", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x5fbd17388ea48632ull},
+      {"sublinear", "work", 2, "budget-exhausted",
+       0x0000000000000000ull, 1, 3, 3, 0x0bdf59664890c90full},
+      {"sublinear", "work", 13, "budget-exhausted",
+       0x3fd0000000000000ull, 1, 14, 14, 0x1d89aeb6010551a6ull},
+      {"sublinear", "work", 14, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 1, 15, 15, 0x1d89aeb6010551a6ull},
+      {"sublinear", "work", 15, "budget-exhausted",
+       0x3fd3b13b13b13b14ull, 2, 16, 16, 0x1d89aeb6010551a6ull},
+      {"sublinear", "work", 60, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 5, 61, 61, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "work", 150, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 11, 151, 151, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "work", 400, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"sublinear", "work", 100000, "complete",
+       0x3fcd89d89d89d89eull, 16, 224, 224, 0x0a1a9ac6c74bd5dbull},
+      {"nd", "trip", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 1, 1, 0x188208e1d8f1f01dull},
+      {"nd", "trip", 2, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x188208e1d8f1f01dull},
+      {"nd", "trip", 150, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 150, 150, 0x188208e1d8f1f01dull},
+      {"nd", "trip", 268, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 268, 268, 0x188208e1d8f1f01dull},
+      {"nd", "trip", 270, "budget-exhausted",
+       0x0000000000000000ull, 1, 270, 270, 0x926969b772e3f63dull},
+      {"nd", "trip", 280, "budget-exhausted",
+       0x3fd5555555555555ull, 1, 280, 280, 0xf64c3924552599a4ull},
+      {"nd", "trip", 281, "budget-exhausted",
+       0x3fd89d89d89d89d9ull, 1, 281, 281, 0xf64c3924552599a4ull},
+      {"nd", "trip", 282, "budget-exhausted",
+       0x3fd89d89d89d89d9ull, 2, 282, 282, 0xf64c3924552599a4ull},
+      {"nd", "trip", 295, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 2, 295, 295, 0xbd42cdcfba42108dull},
+      {"nd", "trip", 400, "budget-exhausted",
+       0x3fc3b13b13b13b14ull, 10, 400, 400, 0x3435281f1bb572a1ull},
+      {"nd", "trip", 532, "budget-exhausted",
+       0x3fc3b13b13b13b14ull, 19, 532, 532, 0x3435281f1bb572a1ull},
+      {"nd", "trip", 533, "complete",
+       0x3fc3b13b13b13b14ull, 19, 532, 532, 0x3435281f1bb572a1ull},
+      {"nd", "work", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 2, 2, 0x188208e1d8f1f01dull},
+      {"nd", "work", 150, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 151, 151, 0x188208e1d8f1f01dull},
+      {"nd", "work", 267, "budget-exhausted",
+       0x3ff0000000000000ull, 1, 268, 268, 0x188208e1d8f1f01dull},
+      {"nd", "work", 269, "budget-exhausted",
+       0x0000000000000000ull, 1, 270, 270, 0x926969b772e3f63dull},
+      {"nd", "work", 279, "budget-exhausted",
+       0x3fd5555555555555ull, 1, 280, 280, 0xf64c3924552599a4ull},
+      {"nd", "work", 280, "budget-exhausted",
+       0x3fd89d89d89d89d9ull, 1, 281, 281, 0xf64c3924552599a4ull},
+      {"nd", "work", 281, "budget-exhausted",
+       0x3fd89d89d89d89d9ull, 2, 282, 282, 0xf64c3924552599a4ull},
+      {"nd", "work", 294, "budget-exhausted",
+       0x3fcd89d89d89d89eull, 2, 295, 295, 0xbd42cdcfba42108dull},
+      {"nd", "work", 400, "budget-exhausted",
+       0x3fc3b13b13b13b14ull, 10, 401, 401, 0x3435281f1bb572a1ull},
+      {"nd", "work", 531, "budget-exhausted",
+       0x3fc3b13b13b13b14ull, 19, 532, 532, 0x3435281f1bb572a1ull},
+      {"nd", "work", 532, "complete",
+       0x3fc3b13b13b13b14ull, 19, 532, 532, 0x3435281f1bb572a1ull},
+      {"enumeration", "trip", 1, "budget-exhausted",
+       0x3ff0000000000000ull, 0, 1, 1, 0xcbf29ce484222325ull},
+      {"enumeration", "trip", 2, "budget-exhausted",
+       0x3fe13b13b13b13b1ull, 1, 2, 2, 0x17e5823f96ca5668ull},
+      {"enumeration", "trip", 3, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 2, 3, 3, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 14, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 13, 14, 14, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 15, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 14, 15, 15, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 16, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 15, 16, 16, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 29, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 28, 29, 29, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 60, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 150, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 400, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "trip", 100000, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 1, "budget-exhausted",
+       0x3fe13b13b13b13b1ull, 1, 2, 2, 0x17e5823f96ca5668ull},
+      {"enumeration", "work", 2, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 2, 3, 3, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 13, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 13, 14, 14, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 14, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 14, 15, 15, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 15, "budget-exhausted",
+       0x3fdd89d89d89d89eull, 15, 16, 16, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 60, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 150, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 400, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+      {"enumeration", "work", 100000, "complete",
+       0x3fdd89d89d89d89eull, 40, 40, 40, 0x188208e1d8f1f01dull},
+  };
+  for (const TripRow& expected : table) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      EXPECT_EQ(FormatTripRow(RunTripRow(expected, threads)),
+                FormatTripRow(expected));
     }
   }
 }

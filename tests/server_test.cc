@@ -624,6 +624,59 @@ TEST_F(ServerTest, WorkBudgetPartialIsDeterministic) {
   EXPECT_EQ(first->Get("work-used"), second->Get("work-used"));
 }
 
+// Ids and vertices are parsed strictly: a session id must be plain
+// decimal digits that fit 64 bits, and a query tuple's vertex must fit
+// the Vertex range — never wrapped onto a smaller id.
+TEST_F(ServerTest, MalformedSessionIdsAndTupleVerticesAreUsageErrors) {
+  StartServer(ServerOptions{});
+  TestProblem problem = MakeProblem(10, 29);
+  Client client = MustConnect();
+  StatusOr<uint64_t> session = client.LoadGraph(problem.graph_text);
+  ASSERT_TRUE(session.ok());
+  Message learn;
+  learn.Set("op", "learn");
+  learn.Set("session", std::to_string(*session));
+  learn.Set("data", problem.data_text);
+  learn.Set("rank", "1");
+  learn.Set("radius", "1");
+  StatusOr<Message> learned = client.Call(learn);
+  ASSERT_TRUE(learned.ok());
+  ASSERT_EQ(learned->Get("status"), kStatusOk) << learned->Get("error");
+
+  Message query;
+  query.Set("op", "query");
+  query.Set("session", std::to_string(*session));
+  query.Set("model-id", learned->Get("model-id"));
+  query.Set("tuple", "1");
+  StatusOr<Message> response = client.Call(query);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->Get("status"), kStatusOk) << response->Get("error");
+  // 4294967297 = 2^32 + 1 would wrap onto vertex 1.
+  for (const char* vertex : {"4294967297", "2147483648", "-1", "1x"}) {
+    query.Set("tuple", vertex);
+    response = client.Call(query);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->Get("status"), kStatusError) << vertex;
+    EXPECT_EQ(ResponseExitCode(*response), 64) << vertex;
+    EXPECT_EQ(response->Get("error"),
+              std::string("invalid vertex '") + vertex + "' in field 'tuple'");
+  }
+
+  for (const char* id : {"-1", " 1", "1x", "123456789012345678901"}) {
+    Message list;
+    list.Set("op", "list-models");
+    list.Set("session", id);
+    response = client.Call(list);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->Get("status"), kStatusError) << id;
+    EXPECT_EQ(ResponseExitCode(*response), 64) << id;
+    EXPECT_NE(response->Get("error").find("invalid session id"),
+              std::string::npos)
+        << id << ": " << response->Get("error");
+  }
+  EXPECT_TRUE(client.Ping().ok());
+}
+
 TEST_F(ServerTest, MalformedInputsGetSysexitsStyleCodes) {
   StartServer(ServerOptions{});
   Client client = MustConnect();
