@@ -36,24 +36,16 @@ std::string ToText(const Graph& graph) {
 }
 
 namespace {
-bool ParseInt(const std::string& token, int* out) {
-  if (token.empty()) return false;
-  size_t pos = 0;
+// A 32-bit decimal integer: a vertex id beyond that range is malformed
+// input, not a wrapped (or UB) id.
+bool ParseInt(std::string_view token, int* out) {
   int64_t value = 0;
-  bool negative = false;
-  if (token[pos] == '-') {
-    negative = true;
-    ++pos;
+  if (!ParseInt64(token, &value) ||
+      value < std::numeric_limits<int32_t>::min() ||
+      value > std::numeric_limits<int32_t>::max()) {
+    return false;
   }
-  if (pos >= token.size()) return false;
-  for (; pos < token.size(); ++pos) {
-    if (token[pos] < '0' || token[pos] > '9') return false;
-    value = value * 10 + (token[pos] - '0');
-    // Reject overflow instead of wrapping: a vertex id beyond the 32-bit
-    // range is malformed input, not UB.
-    if (value > std::numeric_limits<int32_t>::max()) return false;
-  }
-  *out = static_cast<int>(negative ? -value : value);
+  *out = static_cast<int>(value);
   return true;
 }
 

@@ -15,15 +15,13 @@ namespace folearn {
 
 namespace {
 
-// Decimal digits only, and no larger than a Vertex can hold: a value past
+// A non-negative decimal no larger than a Vertex can hold: a value past
 // the 32-bit range is malformed input, never a wrapped (or UB) vertex id.
 bool ParseInt(std::string_view token, int* out) {
-  if (token.empty()) return false;
   int64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-    if (value > std::numeric_limits<Vertex>::max()) return false;
+  if (!ParseInt64(token, &value) || value < 0 ||
+      value > std::numeric_limits<Vertex>::max()) {
+    return false;
   }
   *out = static_cast<int>(value);
   return true;

@@ -25,46 +25,11 @@ double DoubleFromBits(uint64_t bits) {
   return value;
 }
 
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-bool ParseHexU64(std::string_view text, uint64_t* value) {
-  if (text.size() != 16) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    result = (result << 4) | static_cast<uint64_t>(digit);
-  }
-  *value = result;
-  return true;
-}
-
-// Decimal int64 with an optional leading '-' (best_index can be −1).
-bool ParseSignedInt64(std::string_view text, int64_t* value) {
-  bool negative = false;
-  if (!text.empty() && text[0] == '-') {
-    negative = true;
-    text.remove_prefix(1);
-  }
-  if (text.empty() || text.size() > 18) return false;
-  int64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    result = result * 10 + (c - '0');
-  }
-  *value = negative ? -result : result;
-  return true;
+// ParseInt64 within the 18 digits a frontier field has always been
+// limited to.
+bool ParseFrontierInt(std::string_view text, int64_t* value) {
+  const size_t digits = text.size() - (text.starts_with('-') ? 1 : 0);
+  return digits <= 18 && ParseInt64(text, value);
 }
 
 Status FieldError(int line, const std::string& detail) {
@@ -77,10 +42,11 @@ Status FieldError(int line, const std::string& detail) {
 std::string SerializeFrontier(const SearchFrontier& frontier) {
   std::string out;
   out += "learner " + frontier.learner + '\n';
-  out += "fingerprint " + HexU64(frontier.fingerprint) + '\n';
+  out += "fingerprint " + FormatHexUint64(frontier.fingerprint) + '\n';
   out += "cursor " + std::to_string(frontier.cursor) + '\n';
   out += "best_index " + std::to_string(frontier.best_index) + '\n';
-  out += "best_error_bits " + HexU64(DoubleBits(frontier.best_error)) + '\n';
+  out += "best_error_bits " +
+         FormatHexUint64(DoubleBits(frontier.best_error)) + '\n';
   out += "tried " + std::to_string(frontier.tried) + '\n';
   out += "governor_work " + std::to_string(frontier.governor_work) + '\n';
   out +=
@@ -119,32 +85,32 @@ StatusOr<SearchFrontier> ParseFrontier(std::string_view payload) {
         parsed = !value.empty() && value.find(' ') == std::string::npos;
         break;
       case 1:
-        parsed = ParseHexU64(value, &frontier.fingerprint);
+        parsed = ParseHexUint64(value, &frontier.fingerprint);
         break;
       case 2:
-        parsed = ParseSignedInt64(value, &frontier.cursor) &&
+        parsed = ParseFrontierInt(value, &frontier.cursor) &&
                  frontier.cursor >= 0;
         break;
       case 3:
-        parsed = ParseSignedInt64(value, &frontier.best_index) &&
+        parsed = ParseFrontierInt(value, &frontier.best_index) &&
                  frontier.best_index >= -1;
         break;
       case 4: {
         uint64_t bits = 0;
-        parsed = ParseHexU64(value, &bits);
+        parsed = ParseHexUint64(value, &bits);
         frontier.best_error = DoubleFromBits(bits);
         break;
       }
       case 5:
         parsed =
-            ParseSignedInt64(value, &frontier.tried) && frontier.tried >= 0;
+            ParseFrontierInt(value, &frontier.tried) && frontier.tried >= 0;
         break;
       case 6:
-        parsed = ParseSignedInt64(value, &frontier.governor_work) &&
+        parsed = ParseFrontierInt(value, &frontier.governor_work) &&
                  frontier.governor_work >= 0;
         break;
       case 7:
-        parsed = ParseSignedInt64(value, &frontier.governor_checkpoints) &&
+        parsed = ParseFrontierInt(value, &frontier.governor_checkpoints) &&
                  frontier.governor_checkpoints >= 0;
         break;
     }
@@ -187,8 +153,9 @@ Status CheckFrontierCompatible(const SearchFrontier& frontier,
   }
   if (frontier.fingerprint != fingerprint) {
     return InvalidArgumentError(
-        "checkpoint fingerprint " + HexU64(frontier.fingerprint) +
-        " does not match this problem instance (" + HexU64(fingerprint) +
+        "checkpoint fingerprint " + FormatHexUint64(frontier.fingerprint) +
+        " does not match this problem instance (" +
+        FormatHexUint64(fingerprint) +
         "): graph, training data, or learner parameters differ");
   }
   return OkStatus();

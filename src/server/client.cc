@@ -9,9 +9,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <stdexcept>
+#include <limits>
 #include <thread>
 #include <utility>
+
+#include "util/strings.h"
 
 namespace folearn {
 
@@ -104,11 +106,11 @@ StatusOr<uint64_t> Client::LoadGraph(const std::string& graph_text) {
     return Status(StatusCode::kInvalidArgument,
                   "load-graph failed: " + response->Get("error"));
   }
-  try {
-    return static_cast<uint64_t>(std::stoull(response->Get("session")));
-  } catch (const std::exception&) {
+  uint64_t session = 0;
+  if (!ParseUint64(response->Get("session"), &session)) {
     return DataLossError("load-graph response carries no session id");
   }
+  return session;
 }
 
 Status Client::CloseSession(uint64_t session) {
@@ -200,13 +202,12 @@ int ResponseExitCode(const Message& response) {
   const std::string status = response.Get("status");
   if (status == kStatusOk) return 0;
   if (status == kStatusPartial || status == kStatusShed) return 3;
-  try {
-    size_t pos = 0;
-    int code = std::stoi(response.Get("code", "1"), &pos);
-    return code > 0 ? code : 1;
-  } catch (const std::exception&) {
+  int64_t code = 0;
+  if (!ParseInt64(response.Get("code", "1"), &code) || code <= 0 ||
+      code > std::numeric_limits<int>::max()) {
     return 1;
   }
+  return static_cast<int>(code);
 }
 
 }  // namespace folearn

@@ -14,11 +14,9 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 
-#include "fo/parser.h"
 #include "graph/algorithms.h"
 #include "graph/fog.h"
 #include "graph/io.h"
@@ -27,7 +25,9 @@
 #include "learn/model_io.h"
 #include "mc/bytecode.h"
 #include "mc/vm.h"
+#include "service/request.h"
 #include "types/type.h"
+#include "util/strings.h"
 
 namespace folearn {
 
@@ -60,89 +60,42 @@ Message MakeOk() {
   return response;
 }
 
-// Maps an AcquireSession failure: an id that is neither live nor
-// journaled is a usage error (the CLI-exit-64 analogue); a corrupt or
-// unreadable journal keeps its own status semantics (65 / 1).
-Message MakeSessionError(uint64_t id, const Status& status) {
-  if (status.code() == StatusCode::kNotFound) {
-    return MakeError(kExitUsage, "unknown session " + std::to_string(id));
-  }
-  return MakeErrorFromStatus(status);
-}
-
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// Parses a decimal int64 request field. Returns false (with *error named
-// after the field) on trailing garbage, overflow, or non-numeric input —
-// the protocol mirror of the CLI's exit-64 flag validation.
-bool ParseInt64Field(const Message& request, const char* key,
-                     int64_t fallback, int64_t* value, std::string* error) {
+// Parses an optional decimal request field into *value, which keeps its
+// default when the field is absent. kUsage, naming the field, on anything
+// ParseInt64 refuses or a value out of Int's range — the protocol mirror
+// of the CLI's exit-64 flag validation.
+template <typename Int>
+Status ParseIntField(const Message& request, const char* key, Int* value) {
   const std::string* raw = request.Find(key);
-  if (raw == nullptr) {
-    *value = fallback;
-    return true;
-  }
-  try {
-    size_t pos = 0;
-    *value = std::stoll(*raw, &pos);
-    if (pos != raw->size()) throw std::invalid_argument(*raw);
-  } catch (const std::exception&) {
-    *error = "invalid value '" + *raw + "' for field '" + key + "'";
-    return false;
-  }
-  return true;
-}
-
-bool ParseIntField(const Message& request, const char* key, int fallback,
-                   int* value, std::string* error) {
+  if (raw == nullptr) return OkStatus();
   int64_t wide = 0;
-  if (!ParseInt64Field(request, key, fallback, &wide, error)) return false;
-  if (wide < INT32_MIN || wide > INT32_MAX) {
-    *error = "invalid value '" + request.Get(key) + "' for field '" + key +
-             "' (out of int range)";
-    return false;
+  if (!ParseInt64(*raw, &wide) || wide < std::numeric_limits<Int>::min() ||
+      wide > std::numeric_limits<Int>::max()) {
+    return UsageError("invalid value '" + *raw + "' for field '" + key + "'");
   }
-  *value = static_cast<int>(wide);
-  return true;
+  *value = static_cast<Int>(wide);
+  return OkStatus();
 }
 
-// Strict decimal uint64 (model ids, session ids in journal fields).
-bool ParseU64(std::string_view text, uint64_t* value) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (result > (UINT64_MAX - digit) / 10) return false;
-    result = result * 10 + digit;
-  }
-  *value = result;
-  return true;
+// Models and sentences on the wire are external input: a colour the
+// session graph lacks denotes an empty class. Plans are cached under these
+// options.
+EvalOptions WireEvalOptions() {
+  EvalOptions options;
+  options.missing_color_is_false = true;
+  return options;
 }
 
 std::string FormatDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6f", value);
   return buffer;
-}
-
-// Every tuple entry must be a vertex of `graph`: the training set and the
-// model file are external input and must not reach the library's CHECKs.
-Status ValidateTuples(const Graph& graph, const TrainingSet& examples) {
-  for (const LabeledExample& example : examples) {
-    for (Vertex v : example.tuple) {
-      if (!graph.IsValidVertex(v)) {
-        return DataLossError("example names vertex " + std::to_string(v) +
-                             " outside the session graph (order " +
-                             std::to_string(graph.order()) + ")");
-      }
-    }
-  }
-  return OkStatus();
 }
 
 // One VM evaluator bound to one graph. Holds the plan-cache entry so the
@@ -262,6 +215,75 @@ struct Server::Session {
         std::forward_as_tuple(cached, graph, options));
     (void)inserted;
     return &pos->second;
+  }
+
+  // The handle named by the request's "model-id" field, looked up with
+  // `mu` held. Null with *error set for a malformed or unknown id.
+  ModelEntry* FindModel(const Message& request, uint64_t* model_id,
+                        Message* error) {
+    const std::string raw = request.Get("model-id");
+    if (!ParseUint64(raw, model_id)) {
+      *error = MakeError(kExitUsage, "invalid model id '" + raw + "'");
+      return nullptr;
+    }
+    auto it = models.find(*model_id);
+    if (it == models.end()) {
+      *error = MakeError(kExitUsage, "unknown model-id " +
+                                         std::to_string(*model_id) +
+                                         " in session " + std::to_string(id));
+      return nullptr;
+    }
+    return &it->second;
+  }
+
+  // The one plan run behind evaluate and query, with `mu` held. Ungoverned
+  // (`limits` empty), `run` gets the warm evaluator for `cached`, whose
+  // per-graph memo persists across requests; otherwise a scratch evaluator
+  // on the governed slow lane, so the warm one never observes a trip.
+  // `run(vm, governor, response)` evaluates, fills in the payload and
+  // returns how many evaluations it made; the response is then stamped
+  // partial / run-status / work-used, and the evaluations and their wall
+  // time go into `entry`'s telemetry when the plan is a model handle's.
+  template <typename Run>
+  Message RunPlan(const CachedPlan& cached,
+                  const std::optional<GovernorLimits>& limits,
+                  ModelEntry* entry, Run&& run) {
+    std::optional<ResourceGovernor> governor;
+    std::optional<EngineEvaluator> scratch;
+    EngineEvaluator* evaluator;
+    if (limits.has_value()) {
+      governor.emplace(*limits);
+      EvalOptions options = WireEvalOptions();
+      options.governor = &*governor;
+      scratch.emplace(cached, graph, options);
+      evaluator = &*scratch;
+    } else {
+      evaluator = WarmEvaluator(cached, WireEvalOptions());
+    }
+    Message response = MakeOk();
+    const auto start = std::chrono::steady_clock::now();
+    const int64_t evals = run(evaluator->vm,
+                              governor.has_value() ? &*governor : nullptr,
+                              response);
+    if (entry != nullptr) {
+      entry->evals += evals;
+      entry->exec_ms += MsSince(start);
+      entry->lower_ms = cached.lower_ms;
+      if (cached.bytecode->supported) {
+        entry->vm_instructions =
+            static_cast<int64_t>(cached.bytecode->fast.code.size());
+        entry->vm_superinstructions = cached.bytecode->superinstructions;
+      }
+    }
+    if (governor.has_value()) {
+      if (governor->Interrupted()) {
+        response.Set("status", kStatusPartial);
+        response.Set("code", "3");
+        response.Set("run-status", RunStatusName(governor->status()));
+      }
+      response.Set("work-used", std::to_string(governor->work_used()));
+    }
+    return response;
   }
 
   // The durable view of this session, in journal layout.
@@ -679,7 +701,7 @@ Message Server::HandlePing(const Message& request) {
   if (raw != nullptr) {
     uint64_t id = 0;
     bool known = false;
-    if (ParseU64(*raw, &id)) {
+    if (ParseUint64(*raw, &id)) {
       std::shared_ptr<SessionSlot> slot = FindSlot(id);
       if (slot != nullptr) {
         slot->last_used_ms.store(NowMs(), std::memory_order_relaxed);
@@ -897,7 +919,7 @@ bool ParseSessionId(const Message& request, uint64_t* id,
         MakeError(kExitUsage, "request requires a 'session' field");
     return false;
   }
-  if (!ParseU64(*raw, id)) {
+  if (!ParseUint64(*raw, id)) {
     *error_response =
         MakeError(kExitUsage, "invalid session id '" + *raw + "'");
     return false;
@@ -905,19 +927,22 @@ bool ParseSessionId(const Message& request, uint64_t* id,
   return true;
 }
 
-// Resolves the "model-id" field; the caller has established it is present.
-bool ParseModelIdField(const Message& request, uint64_t* model_id,
-                       Message* error_response) {
-  const std::string raw = request.Get("model-id");
-  if (!ParseU64(raw, model_id)) {
-    *error_response =
-        MakeError(kExitUsage, "invalid model id '" + raw + "'");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
+
+std::shared_ptr<Server::Session> Server::RequestSession(
+    const Message& request, Message* error) {
+  uint64_t id = 0;
+  if (!ParseSessionId(request, &id, error)) return nullptr;
+  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
+  if (acquired.ok()) return *std::move(acquired);
+  // An id that is neither live nor journaled is a usage error (the
+  // CLI-exit-64 analogue); a corrupt or unreadable journal keeps its own
+  // status semantics (65 / 1).
+  *error = acquired.status().code() == StatusCode::kNotFound
+               ? MakeError(kExitUsage, "unknown session " + std::to_string(id))
+               : MakeErrorFromStatus(acquired.status());
+  return nullptr;
+}
 
 Message Server::HandleCloseSession(const Message& request) {
   uint64_t id = 0;
@@ -954,23 +979,14 @@ Message Server::HandleCloseSession(const Message& request) {
   return MakeOk();
 }
 
-bool Server::RequestLimits(const Message& request, GovernorLimits* limits,
-                           bool* governed, std::string* error) const {
+Status Server::RequestLimits(const Message& request,
+                             std::optional<GovernorLimits>* limits) const {
   int64_t deadline_ms = kNoLimit;
   int64_t max_work = kNoLimit;
-  if (!ParseInt64Field(request, "deadline-ms", kNoLimit, &deadline_ms,
-                       error) ||
-      !ParseInt64Field(request, "max-work", kNoLimit, &max_work, error)) {
-    return false;
-  }
-  if (deadline_ms != kNoLimit && deadline_ms < 0) {
-    *error = "field 'deadline-ms' must be >= 0";
-    return false;
-  }
-  if (max_work != kNoLimit && max_work <= 0) {
-    *error = "field 'max-work' must be positive";
-    return false;
-  }
+  Status parsed = ParseIntField(request, "deadline-ms", &deadline_ms);
+  if (parsed.ok()) parsed = ParseIntField(request, "max-work", &max_work);
+  if (parsed.ok()) parsed = CheckLimits(deadline_ms, max_work);
+  if (!parsed.ok()) return parsed;
   // Server caps clamp the request; with a cap set, a request asking for
   // nothing still runs capped — the caps are the operator's protection
   // against a tenant monopolising the daemon.
@@ -982,19 +998,18 @@ bool Server::RequestLimits(const Message& request, GovernorLimits* limits,
       (max_work == kNoLimit || max_work > options_.max_work)) {
     max_work = options_.max_work;
   }
-  limits->deadline_ms = deadline_ms;
-  limits->max_work = max_work;
-  *governed = deadline_ms != kNoLimit || max_work != kNoLimit;
-  return true;
+  limits->reset();
+  if (deadline_ms != kNoLimit || max_work != kNoLimit) {
+    limits->emplace(GovernorLimits{deadline_ms, max_work});
+  }
+  return OkStatus();
 }
 
 Message Server::HandleLearn(const Message& request) {
-  uint64_t id = 0;
   Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+  std::shared_ptr<Session> held = RequestSession(request, &error);
+  if (held == nullptr) return error;
+  Session& session = *held;
   const std::string* data_text = request.Find("data");
   if (data_text == nullptr) {
     return MakeError(kExitUsage, "learn requires a 'data' field");
@@ -1006,38 +1021,22 @@ Message Server::HandleLearn(const Message& request) {
   StatusOr<TrainingSet> data = ParseTrainingSet(*data_text);
   if (!data.ok()) return MakeErrorFromStatus(data.status());
 
-  ErmOptions options;
-  std::string field_error;
-  int ell = 0;
-  if (!ParseIntField(request, "rank", 1, &options.rank, &field_error) ||
-      !ParseIntField(request, "radius", -1, &options.radius, &field_error) ||
-      !ParseIntField(request, "ell", 0, &ell, &field_error) ||
-      !ParseIntField(request, "threads", 1, &options.threads,
-                     &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
-  if (options.rank < 0) {
-    return MakeError(kExitUsage, "field 'rank' must be >= 0");
-  }
-  if (options.radius < -1) {
+  LearnRequest learn;
+  learn.learner = request.Get("learner", learn.learner);
+  Status valid = ParseIntField(request, "rank", &learn.rank);
+  if (valid.ok()) valid = ParseIntField(request, "radius", &learn.radius);
+  if (valid.ok()) valid = ParseIntField(request, "ell", &learn.ell);
+  if (valid.ok()) valid = ParseIntField(request, "threads", &learn.threads);
+  if (valid.ok()) valid = CheckLearnRequest(learn);
+  if (!valid.ok()) return MakeErrorFromStatus(valid);
+  if (learn.learner != "brute") {
     return MakeError(kExitUsage,
-                     "field 'radius' must be >= 0 (or -1 for automatic)");
-  }
-  if (ell < 0) return MakeError(kExitUsage, "field 'ell' must be >= 0");
-  if (options.threads < 0) {
-    return MakeError(kExitUsage, "field 'threads' must be >= 0");
-  }
-  const std::string learner = request.Get("learner", "brute");
-  if (learner != "brute") {
-    return MakeError(kExitUsage,
-                     "unsupported learner '" + learner +
+                     "unsupported learner '" + learn.learner +
                          "' (the server implements 'brute')");
   }
-  GovernorLimits limits;
-  bool governed = false;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
+  std::optional<GovernorLimits> limits;
+  Status limits_ok = RequestLimits(request, &limits);
+  if (!limits_ok.ok()) return MakeErrorFromStatus(limits_ok);
   // Memory governance: with a session or process byte budget the learn
   // runs governed against the session's account — an overflowing sweep is
   // cut at its next checkpoint with run-status=resource-exhausted and the
@@ -1045,8 +1044,8 @@ Message Server::HandleLearn(const Message& request) {
   if (session.mem != nullptr &&
       (options_.session_mem_bytes != kNoLimit ||
        options_.mem_budget_bytes != kNoLimit)) {
-    limits.mem_budget = session.mem.get();
-    governed = true;
+    if (!limits.has_value()) limits.emplace();
+    limits->mem_budget = session.mem.get();
   }
 
   std::lock_guard<std::mutex> session_lock(session.mu);
@@ -1067,24 +1066,28 @@ Message Server::HandleLearn(const Message& request) {
       return *std::move(replay);
     }
   }
-  Status tuples_ok = ValidateTuples(session.graph, *data);
-  if (!tuples_ok.ok()) return MakeErrorFromStatus(tuples_ok);
+  Status vertices = CheckExampleVertices(session.graph, *data);
+  if (!vertices.ok()) return MakeErrorFromStatus(vertices);
 
   std::optional<ResourceGovernor> governor;
-  if (governed) governor.emplace(limits);
-  options.governor = governor.has_value() ? &*governor : nullptr;
+  if (limits.has_value()) governor.emplace(*limits);
+  ErmOptions context;
+  context.governor = governor.has_value() ? &*governor : nullptr;
   // The session ball cache is single-threaded state. A one-thread sweep
   // runs on this thread and uses it for every candidate and for the
   // winner's re-evaluation; a parallel sweep builds per-worker caches, so
   // it is attached exactly when threads = 1.
-  if (options.threads == 1) options.ball_cache = &session.ball_cache;
-  options.cache_bytes = options_.ball_cache_bytes;
+  if (learn.threads == 1) context.ball_cache = &session.ball_cache;
+  context.cache_bytes = options_.ball_cache_bytes;
   // Per-worker registry shards and ball caches of a parallel sweep charge
   // the session account too (released when the sweep returns).
-  options.mem_budget = session.mem != nullptr ? session.mem.get() : nullptr;
+  context.mem_budget = session.mem != nullptr ? session.mem.get() : nullptr;
 
   ErmResult result =
-      BruteForceErm(session.graph, *data, ell, options, session.registry);
+      RunLearn(session.graph, *data, learn, context, session.registry);
+  StatusOr<MaterializedModel> model = MaterializeModel(result.hypothesis);
+  if (!model.ok()) return MakeErrorFromStatus(model.status());
+  const std::string& model_text = model->text;
 
   Message response = MakeOk();
   if (IsInterrupted(result.status)) {
@@ -1092,8 +1095,6 @@ Message Server::HandleLearn(const Message& request) {
     response.Set("code", "3");
     response.Set("run-status", RunStatusName(result.status));
   }
-  Hypothesis hypothesis = result.hypothesis.ToExplicit();
-  const std::string model_text = HypothesisToText(hypothesis);
   response.Set("model", model_text);
   response.Set("training-error", FormatDouble(result.training_error));
   response.Set("types-seen", std::to_string(result.distinct_types_seen));
@@ -1182,8 +1183,8 @@ Message Server::HandleLearn(const Message& request) {
     if (new_model) {
       session.next_model_id = model_id + 1;
       session.models.emplace(
-          model_id,
-          Session::ModelEntry{model_text, std::move(hypothesis.formula)});
+          model_id, Session::ModelEntry{model_text,
+                                        std::move(model->hypothesis.formula)});
       BumpStat(&ServerStats::models_registered);
     }
     if (new_dedup_entry) {
@@ -1216,7 +1217,7 @@ bool ParseTupleField(const std::string& text, std::vector<Vertex>* tuple,
     }
     const std::string_view token(text.data() + pos, end - pos);
     uint64_t value = 0;
-    if (!ParseU64(token, &value) ||
+    if (!ParseUint64(token, &value) ||
         value > static_cast<uint64_t>(std::numeric_limits<Vertex>::max())) {
       *error = "invalid vertex '" + std::string(token) + "' in field 'tuple'";
       return false;
@@ -1244,9 +1245,9 @@ Message JournaledModelError(uint64_t model_id, const Status& status) {
 
 StatusOr<CachedPlan> Server::ResolveModelPlan(
     const HypothesisHeader& header, std::span<const std::string> frame,
-    const EvalOptions& options, FormulaRef* known) {
+    FormulaRef* known) {
   return plan_cache_.GetOrCompileSource(
-      header.formula, frame, options, [&]() -> StatusOr<FormulaRef> {
+      header.formula, frame, WireEvalOptions(), [&]() -> StatusOr<FormulaRef> {
         if (known != nullptr && *known != nullptr) return *known;
         BumpStat(&ServerStats::model_parses);
         StatusOr<FormulaRef> parsed = ParseHypothesisFormula(header);
@@ -1256,12 +1257,10 @@ StatusOr<CachedPlan> Server::ResolveModelPlan(
 }
 
 Message Server::HandleEvaluate(const Message& request) {
-  uint64_t id = 0;
   Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+  std::shared_ptr<Session> held = RequestSession(request, &error);
+  if (held == nullptr) return error;
+  Session& session = *held;
   const std::string* model_text = request.Find("model");
   const bool by_handle = request.Has("model-id");
   if ((model_text == nullptr) == !by_handle) {
@@ -1273,141 +1272,78 @@ Message Server::HandleEvaluate(const Message& request) {
   if (data_text == nullptr) {
     return MakeError(kExitUsage, "evaluate requires a 'data' field");
   }
-  uint64_t model_id = 0;
-  if (by_handle && !ParseModelIdField(request, &model_id, &error)) {
-    return error;
-  }
   StatusOr<TrainingSet> data = ParseTrainingSet(*data_text);
   if (!data.ok()) return MakeErrorFromStatus(data.status());
-  GovernorLimits limits;
-  bool governed = false;
-  std::string field_error;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
+  std::optional<GovernorLimits> limits;
+  Status limits_ok = RequestLimits(request, &limits);
+  if (!limits_ok.ok()) return MakeErrorFromStatus(limits_ok);
 
   // The graph is immutable once the session exists, so everything up to
   // plan resolution runs outside the session lock for a shipped model
   // text, the way HandleQuery treats a sentence. A handle's text is read
   // under the lock: a concurrent learn may compact the handle away.
   const Graph& graph = session.graph;
-  Status tuples_ok = ValidateTuples(graph, *data);
-  if (!tuples_ok.ok()) return MakeErrorFromStatus(tuples_ok);
+  Status vertices = CheckExampleVertices(graph, *data);
+  if (!vertices.ok()) return MakeErrorFromStatus(vertices);
   std::unique_lock<std::mutex> session_lock(session.mu, std::defer_lock);
-  Session::ModelEntry* model_entry = nullptr;
+  Session::ModelEntry* entry = nullptr;
+  uint64_t model_id = 0;
   if (by_handle) {
     session_lock.lock();
-    auto it = session.models.find(model_id);
-    if (it == session.models.end()) {
-      return MakeError(kExitUsage, "unknown model-id " +
-                                       std::to_string(model_id) +
-                                       " in session " + std::to_string(id));
-    }
-    model_entry = &it->second;
+    entry = session.FindModel(request, &model_id, &error);
+    if (entry == nullptr) return error;
   }
   // Both paths split the header on every request (parameters and arity
   // are checked against it each time) and resolve the plan by the formula
   // line's source text: a cache hit never parses the formula.
   StatusOr<HypothesisHeader> header =
-      SplitHypothesisText(by_handle ? model_entry->text : *model_text);
+      SplitHypothesisText(by_handle ? entry->text : *model_text);
   if (!header.ok()) {
     return by_handle ? JournaledModelError(model_id, header.status())
                      : MakeErrorFromStatus(header.status());
   }
-  for (Vertex w : header->parameters) {
-    if (!graph.IsValidVertex(w)) {
-      return MakeErrorFromStatus(DataLossError(
-          "model parameter vertex " + std::to_string(w) +
-          " outside the session graph"));
-    }
-  }
-  const int k = header->k;
-  for (const LabeledExample& example : *data) {
-    if (static_cast<int>(example.tuple.size()) != k) {
-      return MakeErrorFromStatus(DataLossError(
-          "example arity " + std::to_string(example.tuple.size()) +
-          " does not match the model's k=" + std::to_string(k)));
-    }
-  }
-
+  Status fits = CheckModelFits(graph, header->parameters, header->k, *data);
+  if (!fits.ok()) return MakeErrorFromStatus(fits);
   const std::vector<std::string> frame = header->AllVars();
-  EvalOptions eval_options;
-  eval_options.missing_color_is_false = true;  // external model files
   StatusOr<CachedPlan> resolved = ResolveModelPlan(
-      *header, frame, eval_options,
-      by_handle ? &model_entry->formula : nullptr);
+      *header, frame, by_handle ? &entry->formula : nullptr);
   if (!resolved.ok()) {
     return by_handle ? JournaledModelError(model_id, resolved.status())
                      : MakeErrorFromStatus(resolved.status());
   }
-  const CachedPlan& cached = *resolved;
   if (!session_lock.owns_lock()) session_lock.lock();
-
-  std::optional<ResourceGovernor> governor;
-  if (governed) {
-    governor.emplace(limits);
-    eval_options.governor = &*governor;
-  }
-  // Warm path: the ungoverned evaluator (and its per-graph memo) is kept
-  // on the session. A governed request runs the mirrored slow lane on a
-  // throwaway evaluator so the warm one never observes a governor trip.
-  std::optional<EngineEvaluator> scratch;
-  EngineEvaluator* evaluator;
-  if (governed) {
-    scratch.emplace(cached, graph, eval_options);
-    evaluator = &*scratch;
-  } else {
-    evaluator = session.WarmEvaluator(cached, eval_options);
-  }
-
-  std::vector<Vertex> env(frame.size());
-  int64_t wrong = 0;
-  int64_t seen = 0;
-  const auto exec_start = std::chrono::steady_clock::now();
-  for (const LabeledExample& example : *data) {
-    std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
-    std::copy(header->parameters.begin(), header->parameters.end(),
-              env.begin() + k);
-    bool verdict = evaluator->vm.Eval(env);
-    if (governor.has_value() && governor->Interrupted()) break;
-    if (verdict != example.label) ++wrong;
-    ++seen;
-  }
-  if (model_entry != nullptr) {
-    model_entry->evals += seen;
-    model_entry->exec_ms += MsSince(exec_start);
-    model_entry->lower_ms = cached.lower_ms;
-    if (cached.bytecode->supported) {
-      model_entry->vm_instructions =
-          static_cast<int64_t>(cached.bytecode->fast.code.size());
-      model_entry->vm_superinstructions = cached.bytecode->superinstructions;
-    }
-  }
-
-  Message response = MakeOk();
-  if (governor.has_value() && governor->Interrupted()) {
-    response.Set("status", kStatusPartial);
-    response.Set("code", "3");
-    response.Set("run-status", RunStatusName(governor->status()));
-  }
-  const double error_rate =
-      seen == 0 ? 1.0 : static_cast<double>(wrong) / static_cast<double>(seen);
-  response.Set("error", FormatDouble(error_rate));
-  response.Set("examples-seen", std::to_string(seen));
-  if (by_handle) response.Set("model-id", std::to_string(model_id));
-  if (governor.has_value()) {
-    response.Set("work-used", std::to_string(governor->work_used()));
-  }
-  return response;
+  return session.RunPlan(
+      *resolved, limits, entry,
+      [&](VmEvaluator& vm, const ResourceGovernor* governor,
+          Message& response) {
+        const int k = header->k;
+        std::vector<Vertex> env(frame.size());
+        std::copy(header->parameters.begin(), header->parameters.end(),
+                  env.begin() + k);
+        int64_t wrong = 0;
+        int64_t seen = 0;
+        for (const LabeledExample& example : *data) {
+          std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
+          bool verdict = vm.Eval(env);
+          if (governor != nullptr && governor->Interrupted()) break;
+          if (verdict != example.label) ++wrong;
+          ++seen;
+        }
+        const double error_rate =
+            seen == 0 ? 1.0
+                      : static_cast<double>(wrong) / static_cast<double>(seen);
+        response.Set("error", FormatDouble(error_rate));
+        response.Set("examples-seen", std::to_string(seen));
+        if (by_handle) response.Set("model-id", std::to_string(model_id));
+        return seen;
+      });
 }
 
 Message Server::HandleQuery(const Message& request) {
-  uint64_t id = 0;
   Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+  std::shared_ptr<Session> held = RequestSession(request, &error);
+  if (held == nullptr) return error;
+  Session& session = *held;
   const std::string* sentence_text = request.Find("sentence");
   const bool by_handle = request.Has("model-id");
   if ((sentence_text == nullptr) == !by_handle) {
@@ -1415,208 +1351,106 @@ Message Server::HandleQuery(const Message& request) {
                      "query requires exactly one of 'sentence' and "
                      "'model-id'");
   }
-  GovernorLimits limits;
-  bool governed = false;
-  std::string field_error;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
-
+  std::optional<GovernorLimits> limits;
+  Status limits_ok = RequestLimits(request, &limits);
+  if (!limits_ok.ok()) return MakeErrorFromStatus(limits_ok);
+  // The model's (or sentence's) verdict on `env`: indeterminate once a
+  // governor cut the run short.
   std::vector<Vertex> env;
+  const auto answer = [&env](VmEvaluator& vm,
+                             const ResourceGovernor* governor,
+                             Message& response) -> int64_t {
+    const bool verdict = vm.Eval(env);
+    response.Set("result", governor != nullptr && governor->Interrupted()
+                               ? "indeterminate"
+                           : verdict ? "true"
+                                     : "false");
+    return 1;
+  };
+
   if (by_handle) {
     // Handle form: result = the registered model's classification of the
     // request tuple (h_{φ,w̄}(v̄)), with zero per-request parsing.
-    uint64_t model_id = 0;
-    if (!ParseModelIdField(request, &model_id, &error)) return error;
     const std::string* tuple_text = request.Find("tuple");
     if (tuple_text == nullptr) {
       return MakeError(kExitUsage,
                        "query by model-id requires a 'tuple' field");
     }
     std::vector<Vertex> tuple;
+    std::string field_error;
     if (!ParseTupleField(*tuple_text, &tuple, &field_error)) {
       return MakeError(kExitUsage, field_error);
     }
+    const LabeledExample example{tuple, false};
+    Status vertices = CheckExampleVertices(session.graph, {&example, 1});
+    if (!vertices.ok()) return MakeErrorFromStatus(vertices);
     std::lock_guard<std::mutex> session_lock(session.mu);
-    auto it = session.models.find(model_id);
-    if (it == session.models.end()) {
-      return MakeError(kExitUsage, "unknown model-id " +
-                                       std::to_string(model_id) +
-                                       " in session " + std::to_string(id));
-    }
-    StatusOr<HypothesisHeader> header = SplitHypothesisText(it->second.text);
+    uint64_t model_id = 0;
+    Session::ModelEntry* entry = session.FindModel(request, &model_id, &error);
+    if (entry == nullptr) return error;
+    StatusOr<HypothesisHeader> header = SplitHypothesisText(entry->text);
     if (!header.ok()) return JournaledModelError(model_id, header.status());
-    if (static_cast<int>(tuple.size()) != header->k) {
-      return MakeErrorFromStatus(DataLossError(
-          "tuple arity " + std::to_string(tuple.size()) +
-          " does not match the model's k=" + std::to_string(header->k)));
-    }
-    for (Vertex v : tuple) {
-      if (!session.graph.IsValidVertex(v)) {
-        return MakeErrorFromStatus(DataLossError(
-            "tuple names vertex " + std::to_string(v) +
-            " outside the session graph"));
-      }
-    }
-    for (Vertex w : header->parameters) {
-      if (!session.graph.IsValidVertex(w)) {
-        return MakeErrorFromStatus(DataLossError(
-            "model parameter vertex " + std::to_string(w) +
-            " outside the session graph"));
-      }
-    }
-    EvalOptions eval_options;
-    eval_options.missing_color_is_false = true;
-      StatusOr<CachedPlan> resolved = ResolveModelPlan(
-        *header, header->AllVars(), eval_options, &it->second.formula);
+    Status fits = CheckModelFits(session.graph, header->parameters,
+                                 header->k, {&example, 1});
+    if (!fits.ok()) return MakeErrorFromStatus(fits);
+    StatusOr<CachedPlan> resolved =
+        ResolveModelPlan(*header, header->AllVars(), &entry->formula);
     if (!resolved.ok()) return JournaledModelError(model_id, resolved.status());
-    const CachedPlan& cached = *resolved;
     env = std::move(tuple);
     env.insert(env.end(), header->parameters.begin(),
                header->parameters.end());
-    std::optional<ResourceGovernor> governor;
-    if (governed) {
-      governor.emplace(limits);
-      eval_options.governor = &*governor;
-    }
-    std::optional<EngineEvaluator> scratch;
-    EngineEvaluator* evaluator;
-    if (governed) {
-      scratch.emplace(cached, session.graph, eval_options);
-      evaluator = &*scratch;
-    } else {
-      evaluator = session.WarmEvaluator(cached, eval_options);
-    }
-    const auto exec_start = std::chrono::steady_clock::now();
-    bool verdict = evaluator->vm.Eval(env);
-    Session::ModelEntry& entry = it->second;
-    entry.evals += 1;
-    entry.exec_ms += MsSince(exec_start);
-    entry.lower_ms = cached.lower_ms;
-    if (cached.bytecode->supported) {
-      entry.vm_instructions =
-          static_cast<int64_t>(cached.bytecode->fast.code.size());
-      entry.vm_superinstructions = cached.bytecode->superinstructions;
-    }
-    Message response = MakeOk();
+    Message response = session.RunPlan(*resolved, limits, entry, answer);
     response.Set("model-id", std::to_string(model_id));
-    if (governor.has_value() && governor->Interrupted()) {
-      response.Set("status", kStatusPartial);
-      response.Set("code", "3");
-      response.Set("run-status", RunStatusName(governor->status()));
-      response.Set("result", "indeterminate");
-    } else {
-      response.Set("result", verdict ? "true" : "false");
-    }
-    if (governor.has_value()) {
-      response.Set("work-used", std::to_string(governor->work_used()));
-    }
     return response;
   }
 
   // Keyed by the sentence text: a repeated sentence is a plan-cache hit
   // without a parse. The closed-sentence check runs with the parse, before
   // any entry exists, so a hit implies it passed.
-  EvalOptions eval_options;
-  eval_options.missing_color_is_false = true;
   StatusOr<CachedPlan> resolved = plan_cache_.GetOrCompileSource(
-      *sentence_text, {}, eval_options, [&]() -> StatusOr<FormulaRef> {
+      *sentence_text, {}, WireEvalOptions(), [&]() -> StatusOr<FormulaRef> {
         BumpStat(&ServerStats::model_parses);
-        std::string parse_error;
-        std::optional<FormulaRef> sentence =
-            ParseFormula(*sentence_text, &parse_error);
-        if (!sentence.has_value()) {
-          return InvalidArgumentError("cannot parse sentence: " +
-                                      parse_error);
-        }
-        if (!(*sentence)->free_variables().empty()) {
-          return InvalidArgumentError("query requires a sentence; '" +
-                                      (*sentence)->free_variables().front() +
-                                      "' occurs free");
-        }
-        return *std::move(sentence);
+        return ParseSentence(*sentence_text);
       });
-  if (!resolved.ok()) {
-    return MakeError(kExitDataError, resolved.status().message());
-  }
-  const CachedPlan& cached = *resolved;
-
+  if (!resolved.ok()) return MakeErrorFromStatus(resolved.status());
   std::lock_guard<std::mutex> session_lock(session.mu);
-  std::optional<ResourceGovernor> governor;
-  if (governed) {
-    governor.emplace(limits);
-    eval_options.governor = &*governor;
-  }
-  std::optional<EngineEvaluator> scratch;
-  EngineEvaluator* evaluator;
-  if (governed) {
-    scratch.emplace(cached, session.graph, eval_options);
-    evaluator = &*scratch;
-  } else {
-    // Warm path: a repeated sentence is a per-graph memo hit — the
-    // evaluator answers without touching the graph again.
-    evaluator = session.WarmEvaluator(cached, eval_options);
-  }
-  bool verdict = evaluator->vm.Eval({});
-
-  Message response = MakeOk();
-  if (governor.has_value() && governor->Interrupted()) {
-    response.Set("status", kStatusPartial);
-    response.Set("code", "3");
-    response.Set("run-status", RunStatusName(governor->status()));
-    response.Set("result", "indeterminate");
-  } else {
-    response.Set("result", verdict ? "true" : "false");
-  }
-  if (governor.has_value()) {
-    response.Set("work-used", std::to_string(governor->work_used()));
-  }
-  return response;
+  return session.RunPlan(*resolved, limits, nullptr, answer);
 }
 
 Message Server::HandleGetModel(const Message& request) {
-  uint64_t id = 0;
   Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+  std::shared_ptr<Session> held = RequestSession(request, &error);
+  if (held == nullptr) return error;
+  Session& session = *held;
   if (!request.Has("model-id")) {
     return MakeError(kExitUsage, "get-model requires a 'model-id' field");
   }
-  uint64_t model_id = 0;
-  if (!ParseModelIdField(request, &model_id, &error)) return error;
   std::lock_guard<std::mutex> session_lock(session.mu);
-  auto it = session.models.find(model_id);
-  if (it == session.models.end()) {
-    return MakeError(kExitUsage, "unknown model-id " +
-                                     std::to_string(model_id) +
-                                     " in session " + std::to_string(id));
-  }
-  const Session::ModelEntry& entry = it->second;
+  uint64_t model_id = 0;
+  const Session::ModelEntry* entry =
+      session.FindModel(request, &model_id, &error);
+  if (entry == nullptr) return error;
   Message response = MakeOk();
   response.Set("model-id", std::to_string(model_id));
-  response.Set("model", entry.text);
+  response.Set("model", entry->text);
   // Evaluation telemetry accumulated by evaluate/query on this handle
   // (`engine` is always the VM; lower-ms and the vm-* fields stay 0 until
   // the handle's first evaluation).
   response.Set("engine", EvalEngineName(EvalEngine::kVm));
-  response.Set("evals", std::to_string(entry.evals));
-  response.Set("exec-ms", FormatDouble(entry.exec_ms));
-  response.Set("lower-ms", FormatDouble(entry.lower_ms));
-  response.Set("vm-instructions", std::to_string(entry.vm_instructions));
+  response.Set("evals", std::to_string(entry->evals));
+  response.Set("exec-ms", FormatDouble(entry->exec_ms));
+  response.Set("lower-ms", FormatDouble(entry->lower_ms));
+  response.Set("vm-instructions", std::to_string(entry->vm_instructions));
   response.Set("vm-superinstructions",
-               std::to_string(entry.vm_superinstructions));
+               std::to_string(entry->vm_superinstructions));
   return response;
 }
 
 Message Server::HandleListModels(const Message& request) {
-  uint64_t id = 0;
   Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+  std::shared_ptr<Session> held = RequestSession(request, &error);
+  if (held == nullptr) return error;
+  Session& session = *held;
   std::lock_guard<std::mutex> session_lock(session.mu);
   std::string ids;
   for (const auto& [model_id, entry] : session.models) {

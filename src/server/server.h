@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -249,7 +250,6 @@ class Server {
   // *known for a handle. `known` is null for a shipped model text.
   StatusOr<CachedPlan> ResolveModelPlan(const HypothesisHeader& header,
                                         std::span<const std::string> frame,
-                                        const EvalOptions& options,
                                         FormulaRef* known);
 
   // Resolves a session id to its warm state, lazily re-warming a cold
@@ -257,6 +257,13 @@ class Server {
   // NotFound for an id that is neither live nor journaled; kDataLoss for
   // a corrupt journal file.
   StatusOr<std::shared_ptr<Session>> AcquireSession(uint64_t id);
+
+  // The session preamble of every per-session op: the session named by
+  // the request's "session" field, acquired (re-warmed if cold). Null
+  // with *error set for a missing, malformed or unknown id (64) or a
+  // journal that does not load.
+  std::shared_ptr<Session> RequestSession(const Message& request,
+                                          Message* error);
 
   std::shared_ptr<SessionSlot> FindSlot(uint64_t id);
 
@@ -294,12 +301,12 @@ class Server {
   // (child budget, registry/ball-cache accounts, read-through flag).
   void AttachSessionMemory(Session* session);
 
-  // Builds the per-request governor limits from the request fields and
-  // the server caps. Returns false (with *error filled) on malformed
-  // values. *governed is false when neither the request nor the server
-  // imposes a limit.
-  bool RequestLimits(const Message& request, GovernorLimits* limits,
-                     bool* governed, std::string* error) const;
+  // Builds the per-request governor limits from the request's deadline-ms
+  // and max-work fields (checked by CheckLimits) and the server caps.
+  // *limits stays empty when neither the request nor the server imposes a
+  // limit.
+  Status RequestLimits(const Message& request,
+                       std::optional<GovernorLimits>* limits) const;
 
   void ConnectionLoop(int fd);
   void RecordOutcome(const Message& response);

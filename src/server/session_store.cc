@@ -12,6 +12,7 @@
 #include "server/protocol.h"
 #include "util/checkpoint.h"
 #include "util/governor.h"
+#include "util/strings.h"
 
 namespace folearn {
 
@@ -20,20 +21,6 @@ namespace {
 constexpr char kJournalVersion[] = "1";
 constexpr char kSessionPrefix[] = "session-";
 constexpr char kSessionSuffix[] = ".ckpt";
-
-// Strict decimal uint64, no sign, no trailing bytes.
-bool ParseU64(std::string_view text, uint64_t* value) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (result > (UINT64_MAX - digit) / 10) return false;
-    result = result * 10 + digit;
-  }
-  *value = result;
-  return true;
-}
 
 Status VersionSkew(const std::string& path, const std::string& found) {
   return DataLossError("journal '" + path + "' has journal-version '" +
@@ -96,7 +83,7 @@ StatusOr<std::vector<uint64_t>> SessionStore::ListSessions() const {
     std::string_view digits =
         name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
     uint64_t id = 0;
-    if (!ParseU64(digits, &id)) continue;
+    if (!ParseUint64(digits, &id)) continue;
     ids.push_back(id);
   }
   ::closedir(dir);
@@ -119,20 +106,21 @@ StatusOr<SessionRecord> SessionStore::Load(uint64_t id) const {
   record.graph_text = fields->Get("graph");
   record.graph_file = fields->Get("graph-file");
   if (!record.graph_file.empty()) {
-    if (!ParseU64(fields->Get("graph-fingerprint"),
-                  &record.graph_fingerprint)) {
+    if (!ParseUint64(fields->Get("graph-fingerprint"),
+                     &record.graph_fingerprint)) {
       return DataLossError("journal '" + path + "' has a file-backed graph "
                            "but a malformed graph-fingerprint field");
     }
   }
   uint64_t recorded_id = 0;
-  if (!ParseU64(fields->Get("session"), &recorded_id) || recorded_id != id) {
+  if (!ParseUint64(fields->Get("session"), &recorded_id) ||
+      recorded_id != id) {
     return DataLossError("journal '" + path + "' names session '" +
                          fields->Get("session") + "', expected " +
                          std::to_string(id));
   }
   record.id = id;
-  if (!ParseU64(fields->Get("next-model", "1"), &record.next_model_id)) {
+  if (!ParseUint64(fields->Get("next-model", "1"), &record.next_model_id)) {
     return DataLossError("journal '" + path + "' has a malformed "
                          "next-model field");
   }
@@ -144,8 +132,8 @@ StatusOr<SessionRecord> SessionStore::Load(uint64_t id) const {
     if (key.size() > kModelPrefix.size() &&
         std::string_view(key).substr(0, kModelPrefix.size()) == kModelPrefix) {
       uint64_t model_id = 0;
-      if (!ParseU64(std::string_view(key).substr(kModelPrefix.size()),
-                    &model_id)) {
+      if (!ParseUint64(std::string_view(key).substr(kModelPrefix.size()),
+                       &model_id)) {
         return DataLossError("journal '" + path + "' has a malformed model "
                              "key '" + key + "'");
       }
@@ -226,7 +214,7 @@ StatusOr<uint64_t> SessionStore::LoadNextSessionId() const {
   const std::string version = fields->Get("journal-version");
   if (version != kJournalVersion) return VersionSkew(MetaPath(), version);
   uint64_t next = 0;
-  if (!ParseU64(fields->Get("next-session"), &next) || next == 0) {
+  if (!ParseUint64(fields->Get("next-session"), &next) || next == 0) {
     return DataLossError("journal '" + MetaPath() +
                          "' has a malformed next-session field");
   }

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/mem_budget.h"
@@ -19,48 +18,6 @@ namespace {
 
 constexpr char kMagic[] = "folearn-checkpoint";
 constexpr char kVersion[] = "v1";
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-// Parses exactly 16 lower-case hex digits; returns false otherwise.
-bool ParseHexU64(std::string_view text, uint64_t* value) {
-  if (text.size() != 16) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    result = (result << 4) | static_cast<uint64_t>(digit);
-  }
-  *value = result;
-  return true;
-}
-
-bool ParseInt64(std::string_view text, int64_t* value) {
-  if (text.empty() || text.size() > 19) return false;
-  int64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const int digit = c - '0';
-    // 19 digits can exceed INT64_MAX; refuse before the multiply overflows.
-    if (result > (std::numeric_limits<int64_t>::max() - digit) / 10) {
-      return false;
-    }
-    result = result * 10 + digit;
-  }
-  *value = result;
-  return true;
-}
 
 // Takes the next '\n'-terminated line off `rest`. Returns false if no
 // newline remains (truncated header).
@@ -174,7 +131,7 @@ Status WriteCheckpointFile(const std::string& path,
   content += kVersion;
   content += '\n';
   content += "length " + std::to_string(payload.size()) + '\n';
-  content += "crc " + HexU64(Fnv1a64(payload)) + '\n';
+  content += "crc " + FormatHexUint64(Fnv1a64(payload)) + '\n';
   content += payload;
   return WriteFileAtomic(path, content);
 }
@@ -202,7 +159,7 @@ StatusOr<std::string> ReadCheckpointFile(const std::string& path) {
     return DataLossError(path + ": line 2: expected 'length <bytes>'");
   }
   int64_t length = 0;
-  if (!ParseInt64(line.substr(7), &length)) {
+  if (!ParseInt64(line.substr(7), &length) || length < 0) {
     return DataLossError(path + ": line 2: malformed length '" +
                          std::string(line.substr(7)) + "'");
   }
@@ -211,7 +168,7 @@ StatusOr<std::string> ReadCheckpointFile(const std::string& path) {
     return DataLossError(path + ": line 3: expected 'crc <16 hex digits>'");
   }
   uint64_t crc = 0;
-  if (!ParseHexU64(line.substr(4), &crc)) {
+  if (!ParseHexUint64(line.substr(4), &crc)) {
     return DataLossError(path + ": line 3: malformed checksum '" +
                          std::string(line.substr(4)) + "'");
   }

@@ -35,6 +35,9 @@ enum class StatusCode {
   // retry-safe: nothing was acknowledged, and a retry after pressure
   // subsides (or against a bigger budget) can succeed.
   kResourceExhausted = 5,
+  // The invocation itself is wrong: a flag or request field out of range,
+  // an unknown learner, a missing required argument.
+  kUsage = 6,
 };
 
 // sysexits(3)-style process exit codes used by the CLI for input errors.
@@ -82,8 +85,12 @@ inline Status UnavailableError(std::string message) {
 inline Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
 }
+inline Status UsageError(std::string message) {
+  return Status(StatusCode::kUsage, std::move(message));
+}
 
-// Maps a non-OK status onto the CLI exit-code convention: missing input is
+// Maps a non-OK status onto the exit-code convention shared by the CLI and
+// folearnd's wire codes: a bad invocation is EX_USAGE, missing input is
 // EX_NOINPUT, everything malformed or mismatched is EX_DATAERR, and a
 // refused-by-budget operation is EX_TEMPFAIL (75) — the classic "try
 // again later" code, distinct from every data-error code so retry loops
@@ -92,6 +99,8 @@ inline int StatusExitCode(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
       return 0;
+    case StatusCode::kUsage:
+      return kExitUsage;
     case StatusCode::kNotFound:
       return kExitNoInput;
     case StatusCode::kInvalidArgument:

@@ -127,7 +127,8 @@ verdict=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Blue(x)" \
 [ "$rc" -eq 2 ]
 [ "$verdict" = "false" ]
 # Data vertices outside the graph (learn and eval) exit 65; a formula with
-# a free variable is not a sentence (exit 1, like a parse error).
+# a free variable is not a sentence (exit 65, like a parse error and like
+# folearnd's query).
 printf 'examples 1\n+ 99\n- 0\n' > "$DIR/far_data.txt"
 for extra in "learn --out $DIR/unused.txt" "eval --model $DIR/m.txt"; do
   rc=0
@@ -140,8 +141,32 @@ done
 rc=0
 "$CLI" mc --graph "$DIR/g.txt" --sentence "Red(x)" 2> "$DIR/free.log" \
     || rc=$?
-[ "$rc" -eq 1 ]
+[ "$rc" -eq 65 ]
 grep -q "'x' occurs free" "$DIR/free.log"
+# A missing --sentence is a usage error, and so is a negative profile
+# radius (it used to reach a CHECK in the wcol computation).
+rc=0
+"$CLI" mc --graph "$DIR/g.txt" 2> "$DIR/nosentence.log" || rc=$?
+[ "$rc" -eq 64 ]
+grep -q 'missing --sentence' "$DIR/nosentence.log"
+rc=0
+"$CLI" profile --graph "$DIR/g.txt" --radius -1 2> /dev/null || rc=$?
+[ "$rc" -eq 64 ]
+
+# 5f. A model whose text would exceed the model size bound is refused
+#     (exit 65) before it is materialised: rank-3 Hintikka formulas expand
+#     to gigabytes of text. No model file is written, and the refusal is
+#     prompt (the timeout guards against materialising anyway).
+"$CLI" generate --family tree --n 30 --seed 3 --color Red:0.3 \
+    --out "$DIR/g30.txt"
+printf 'examples 1\n+ 1\n- 2\n+ 3\n- 4\n' > "$DIR/d30.txt"
+rc=0
+timeout 60 "$CLI" learn --graph "$DIR/g30.txt" --data "$DIR/d30.txt" \
+    --rank 3 --timeout-ms 200 --out "$DIR/m30.txt" 2> "$DIR/big.log" \
+    || rc=$?
+[ "$rc" -eq 65 ]
+[ ! -e "$DIR/m30.txt" ]
+grep -q 'retry with a lower rank or radius' "$DIR/big.log"
 
 # 6. Profile prints the invariants table.
 "$CLI" profile --graph "$DIR/g.txt" --radius 2 | grep -q 'degeneracy'
@@ -349,6 +374,10 @@ expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" \
     --threads 4294967298
 grep -q "invalid value '4294967298' for flag '--threads'" "$DIR/f64.log"
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --threads -1
+# Integers are strict decimal: no leading whitespace, no '+' sign.
+expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --threads " 4"
+grep -q "invalid value ' 4' for flag '--threads'" "$DIR/f64.log"
+expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --threads +4
 
 # int64 overflow is caught by the parser, not wrapped.
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" \

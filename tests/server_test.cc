@@ -1728,6 +1728,59 @@ TEST_F(ServerTest, SessionMemBudgetCutsLearnToGovernedPartial) {
   ASSERT_TRUE(client.Ping().ok());
 }
 
+// A learn whose model text would exceed the frame bound (rank-3 Hintikka
+// formulas expand to gigabytes) is refused with 65 before it is
+// materialised, under the session lock, without registering a handle; the
+// session keeps serving its earlier models.
+TEST_F(ServerTest, OversizedModelIsRefusedAndSessionKeepsServing) {
+  StartServer(ServerOptions{});
+  Rng rng(3);
+  Graph graph = MakeRandomTree(30, rng);
+  AddRandomColors(graph, {"Red"}, 0.3, rng);
+  const std::string data = "examples 1\n+ 1\n- 2\n+ 3\n- 4\n";
+  Client client = MustConnect();
+  StatusOr<uint64_t> session = client.LoadGraph(ToText(graph));
+  ASSERT_TRUE(session.ok()) << session.status().message();
+  Message learn;
+  learn.Set("op", "learn");
+  learn.Set("session", std::to_string(*session));
+  learn.Set("data", data);
+  learn.Set("rank", "1");
+  StatusOr<Message> small = client.Call(learn);
+  ASSERT_TRUE(small.ok());
+  ASSERT_EQ(small->Get("status"), kStatusOk) << small->Get("error");
+
+  learn.Set("rank", "3");
+  learn.Set("deadline-ms", "200");
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<Message> refused = client.Call(learn);
+  ASSERT_TRUE(refused.ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  EXPECT_EQ(refused->Get("status"), kStatusError);
+  EXPECT_EQ(ResponseExitCode(*refused), 65);
+  EXPECT_NE(refused->Get("error").find("retry with a lower rank or radius"),
+            std::string::npos)
+      << refused->Get("error");
+  EXPECT_FALSE(refused->Has("model-id"));
+
+  Message list;
+  list.Set("op", "list-models");
+  list.Set("session", std::to_string(*session));
+  StatusOr<Message> models = client.Call(list);
+  ASSERT_TRUE(models.ok());
+  EXPECT_EQ(models->Get("models"), small->Get("model-id"));
+
+  Message evaluate;
+  evaluate.Set("op", "evaluate");
+  evaluate.Set("session", std::to_string(*session));
+  evaluate.Set("model-id", small->Get("model-id"));
+  evaluate.Set("data", data);
+  StatusOr<Message> evaluated = client.Call(evaluate);
+  ASSERT_TRUE(evaluated.ok());
+  EXPECT_EQ(evaluated->Get("status"), kStatusOk) << evaluated->Get("error");
+  EXPECT_EQ(evaluated->Get("error"), small->Get("training-error"));
+}
+
 TEST_F(ServerTest, JournalCompactionDropsOldestModelsAndSurvivesRestart) {
   ServerOptions options;
   options.state_dir = MakeStateDir();

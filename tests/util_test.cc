@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "util/combinatorics.h"
@@ -144,6 +147,70 @@ TEST(Strings, SplitAndStrip) {
   EXPECT_EQ(StripWhitespace("  hi \n"), "hi");
   EXPECT_EQ(StripWhitespace(""), "");
   EXPECT_EQ(Join(std::vector<std::string>{"x", "y"}, "+"), "x+y");
+}
+
+// The strict integer parsers behind every flag, request field and file
+// format: the edge cases each front end used to answer differently.
+TEST(Strings, StrictIntegerParserEdgeCases) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Row {
+    const char* text;
+    std::optional<int64_t> as_int64;
+    std::optional<uint64_t> as_uint64;
+  };
+  const Row rows[] = {
+      {"", std::nullopt, std::nullopt},
+      {"-", std::nullopt, std::nullopt},
+      {"+", std::nullopt, std::nullopt},
+      {"+1", std::nullopt, std::nullopt},
+      {" 1", std::nullopt, std::nullopt},
+      {"1 ", std::nullopt, std::nullopt},
+      {"\t1", std::nullopt, std::nullopt},
+      {"1x", std::nullopt, std::nullopt},
+      {"0x10", std::nullopt, std::nullopt},
+      {"-0", std::nullopt, std::nullopt},
+      {"0", 0, 0},
+      {"007", 7, 7},
+      {"-1", -1, std::nullopt},
+      {"9223372036854775807", kMax, uint64_t{kMax}},
+      {"9223372036854775808", std::nullopt, uint64_t{kMax} + 1},
+      {"-9223372036854775808", kMin, std::nullopt},
+      {"-9223372036854775809", std::nullopt, std::nullopt},
+      {"18446744073709551615", std::nullopt,
+       std::numeric_limits<uint64_t>::max()},
+      {"18446744073709551616", std::nullopt, std::nullopt},
+      {"100000000000000000000", std::nullopt, std::nullopt},  // 21 digits
+      {"000000000000000000001", std::nullopt, std::nullopt},  // 21 digits
+  };
+  for (const Row& row : rows) {
+    int64_t signed_value = 42;
+    EXPECT_EQ(ParseInt64(row.text, &signed_value), row.as_int64.has_value())
+        << "'" << row.text << "'";
+    EXPECT_EQ(signed_value, row.as_int64.value_or(42)) << row.text;
+    uint64_t unsigned_value = 42;
+    EXPECT_EQ(ParseUint64(row.text, &unsigned_value),
+              row.as_uint64.has_value())
+        << "'" << row.text << "'";
+    EXPECT_EQ(unsigned_value, row.as_uint64.value_or(42)) << row.text;
+  }
+}
+
+TEST(Strings, HexRoundTripsAndIsFixedWidth) {
+  for (uint64_t value : {uint64_t{0}, uint64_t{0xdeadbeef},
+                         std::numeric_limits<uint64_t>::max()}) {
+    const std::string hex = FormatHexUint64(value);
+    EXPECT_EQ(hex.size(), 16u);
+    uint64_t parsed = 0;
+    ASSERT_TRUE(ParseHexUint64(hex, &parsed)) << hex;
+    EXPECT_EQ(parsed, value);
+  }
+  uint64_t untouched = 7;
+  for (const char* bad : {"", "ff", "00000000DEADBEEF", "00000000deadbeeg",
+                          "000000000000000000", " 00000000deadbeef"}) {
+    EXPECT_FALSE(ParseHexUint64(bad, &untouched)) << bad;
+  }
+  EXPECT_EQ(untouched, 7u);
 }
 
 TEST(Table, RendersAlignedColumns) {

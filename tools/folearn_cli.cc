@@ -12,7 +12,6 @@
 // Graph files use graph/io.h's text format, datasets/models learn/model_io.h.
 
 #include <atomic>
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdio>
@@ -21,25 +20,20 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "fo/parser.h"
-#include "fo/printer.h"
 #include "graph/fog.h"
 #include "graph/generators.h"
 #include "graph/invariants.h"
 #include "graph/io.h"
-#include "learn/erm.h"
 #include "learn/hardness.h"
 #include "learn/model_io.h"
-#include "learn/nd_learner.h"
 #include "learn/search_state.h"
-#include "learn/sublinear.h"
 #include "mc/evaluator.h"
 #include "nd/splitter_game.h"
 #include "nd/wcol.h"
+#include "service/request.h"
 #include "util/checkpoint.h"
 #include "util/governor.h"
 #include "util/rng.h"
@@ -118,19 +112,14 @@ class Args {
     return static_cast<int>(value);
   }
 
+  // Strict decimal (util/strings.h): a sign other than '-', whitespace,
+  // trailing garbage ("4x") and overflow are all rejected.
   int64_t GetInt64(const std::string& key, int64_t fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      size_t pos = 0;
-      int64_t value = std::stoll(it->second, &pos);
-      // Trailing garbage ("4x") and embedded whitespace are rejected, as
-      // is anything std::stoll itself refuses (empty, overflow, text).
-      if (pos != it->second.size()) throw std::invalid_argument(key);
-      return value;
-    } catch (const std::exception&) {
-      DieInvalidValue(key, it->second);
-    }
+    int64_t value = 0;
+    if (!ParseInt64(it->second, &value)) DieInvalidValue(key, it->second);
+    return value;
   }
 
   double GetDouble(const std::string& key, double fallback) const {
@@ -165,7 +154,7 @@ class Args {
 
  private:
   // Malformed numeric flag values are usage errors, same as unknown
-  // flags: report which flag and exit 64 rather than crash in stoll.
+  // flags: report which flag and exit 64.
   [[noreturn]] static void DieInvalidValue(const std::string& key,
                                            const std::string& value) {
     std::fprintf(stderr, "invalid value '%s' for flag '--%s'\n",
@@ -182,31 +171,34 @@ class Args {
 // (1) and from mc's "sentence is false" (2).
 constexpr int kExitDegraded = 3;
 
+// Exits with `status`'s message and StatusExitCode unless it is OK. Input
+// files fail recoverably with sysexits-style codes: a missing/unreadable
+// file exits 66 (EX_NOINPUT), malformed or corrupt contents exit 65
+// (EX_DATAERR) — never a crash, never UB (the Status loaders validate
+// before constructing anything). The request core's checks
+// (service/request.h) exit through the same table, 64 for a flag out of
+// range.
+void Require(const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s\n", status.message().c_str());
+  std::exit(StatusExitCode(status));
+}
+
 // Builds the optional governor from --timeout-ms / --max-work, wired to
-// the signal-driven cancellation flag. Returns false (after printing an
-// error) on invalid values. With `always` set a limitless governor is
-// created even when neither flag is given, so Ctrl-C can still cancel the
-// search cooperatively (learn uses this: its loops never route evaluation
-// through the governed slow lane, so an idle governor costs nothing but
-// checkpoint counting).
-bool MakeGovernor(const Args& args,
-                  std::optional<ResourceGovernor>& governor,
-                  bool always = false) {
+// the signal-driven cancellation flag; exits 64 on invalid values. With
+// `always` set a limitless governor is created even when neither flag is
+// given, so Ctrl-C can still cancel the search cooperatively (learn uses
+// this: its loops never route evaluation through the governed slow lane,
+// so an idle governor costs nothing but checkpoint counting).
+void MakeGovernor(const Args& args, std::optional<ResourceGovernor>& governor,
+                  bool always) {
   int64_t timeout_ms = args.GetInt64("timeout-ms", kNoLimit);
   int64_t max_work = args.GetInt64("max-work", kNoLimit);
-  if (timeout_ms != kNoLimit && timeout_ms < 0) {
-    std::fprintf(stderr, "--timeout-ms must be >= 0\n");
-    return false;
-  }
-  if (max_work != kNoLimit && max_work <= 0) {
-    std::fprintf(stderr, "--max-work must be positive\n");
-    return false;
-  }
-  if (!always && timeout_ms == kNoLimit && max_work == kNoLimit) return true;
+  Require(CheckLimits(timeout_ms, max_work));
+  if (!always && timeout_ms == kNoLimit && max_work == kNoLimit) return;
   governor.emplace(GovernorLimits{timeout_ms, max_work},
                    &g_cancel_requested);
   g_governed_loop_active = 1;
-  return true;
 }
 
 // --cache-bytes must be a non-negative byte count; absent means unbounded.
@@ -222,8 +214,8 @@ int64_t GetCacheBytes(const Args& args) {
   return bytes;
 }
 
-// A non-negative small-int flag (rank, ell, ...): negative values would
-// CHECK-fail deep inside the library — reject them at the boundary.
+// A non-negative small-int flag (degree, profile's radius): negative values
+// would CHECK-fail deep inside the library — reject them at the boundary.
 int GetNonNegativeInt(const Args& args, const char* key, int fallback) {
   int value = args.GetInt(key, fallback);
   if (value < 0) {
@@ -255,17 +247,6 @@ EvalOptions GetEvalOptions(const Args& args, ResourceGovernor* governor) {
   return options;
 }
 
-// Worker threads for the parallel sweeps (0 = hardware concurrency).
-// Results are identical for every value; exits 64 on a negative count.
-int GetThreads(const Args& args) {
-  int threads = args.GetInt("threads", 1);
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0 (0 = all cores)\n");
-    std::exit(64);
-  }
-  return threads;
-}
-
 void ReportInterruption(const ResourceGovernor& governor) {
   std::fprintf(stderr,
                "resource limit hit (%s) after %lld work units; result is "
@@ -281,15 +262,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-// Input-file failures are recoverable errors with sysexits-style codes:
-// a missing/unreadable file exits 66 (EX_NOINPUT), malformed or corrupt
-// contents exit 65 (EX_DATAERR) — never a crash, never UB (the Status
-// loaders validate before constructing anything).
-[[noreturn]] void DieStatus(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.message().c_str());
-  std::exit(StatusExitCode(status));
-}
-
 // A required file flag that was not given is a usage error (64), in line
 // with unknown/duplicate flags.
 std::string GetRequiredPath(const Args& args, const char* key) {
@@ -303,10 +275,10 @@ std::string GetRequiredPath(const Args& args, const char* key) {
 
 // Reads --graph in either format (text, or memory-mapped .fog binary —
 // sniffed by magic, not extension); exits 64/65/66 on failure (see
-// DieStatus).
+// Require).
 Graph LoadGraph(const Args& args) {
   StatusOr<Graph> graph = LoadGraphAuto(GetRequiredPath(args, "graph"));
-  if (!graph.ok()) DieStatus(graph.status());
+  Require(graph.status());
   return *std::move(graph);
 }
 
@@ -316,34 +288,18 @@ int CmdGraphPack(const Args& args) {
   Graph graph = LoadGraph(args);
   graph.Finalize();
   const std::string out = GetRequiredPath(args, "out");
-  Status written = WriteFogFile(out, graph);
-  if (!written.ok()) DieStatus(written);
+  Require(WriteFogFile(out, graph));
   std::fprintf(stderr, "packed %d vertices / %lld edges into %s\n",
                graph.order(), static_cast<long long>(graph.EdgeCount()),
                out.c_str());
   return 0;
 }
 
-// Every example vertex must lie in the graph, as folearnd's ValidateTuples
-// demands: a data file is external input and must not reach the library's
-// CHECKs. Exits 65 otherwise.
-void ValidateData(const Graph& graph, const TrainingSet& data) {
-  for (const LabeledExample& example : data) {
-    for (Vertex v : example.tuple) {
-      if (!graph.IsValidVertex(v)) {
-        DieStatus(DataLossError("example names vertex " + std::to_string(v) +
-                                " outside the graph (order " +
-                                std::to_string(graph.order()) + ")"));
-      }
-    }
-  }
-}
-
 TrainingSet LoadData(const Args& args, const Graph& graph) {
   StatusOr<TrainingSet> data =
       LoadTrainingSetFile(GetRequiredPath(args, "data"));
-  if (!data.ok()) DieStatus(data.status());
-  ValidateData(graph, *data);
+  Require(data.status());
+  Require(CheckExampleVertices(graph, *data));
   return *std::move(data);
 }
 
@@ -453,8 +409,7 @@ int CmdGenerate(const Args& args) {
 // under another (e.g. save with --threads 8, resume with --threads 1).
 uint64_t ProblemFingerprint(uint64_t graph_fingerprint,
                             const std::string& data_text,
-                            const std::string& learner, int rank, int radius,
-                            int ell, double epsilon) {
+                            const LearnRequest& learn) {
   // For text graphs LoadGraphAuto's fingerprint is Fnv1a64 of the file
   // bytes — the value this function hashed directly before the binary
   // format existed — so problem fingerprints (and therefore resumable
@@ -464,7 +419,8 @@ uint64_t ProblemFingerprint(uint64_t graph_fingerprint,
   char knobs[160];
   std::snprintf(knobs, sizeof(knobs),
                 "learner=%s rank=%d radius=%d ell=%d epsilon=%.17g",
-                learner.c_str(), rank, radius, ell, epsilon);
+                learn.learner.c_str(), learn.rank, learn.radius, learn.ell,
+                learn.epsilon);
   return Fnv1a64(knobs, fp);
 }
 
@@ -477,37 +433,25 @@ int CmdLearn(const Args& args, ResourceGovernor* governor) {
   uint64_t graph_fingerprint = 0;
   StatusOr<Graph> graph = LoadGraphAuto(graph_path, &graph_fingerprint);
   StatusOr<std::string> data_text = ReadFileToString(data_path);
-  if (!data_text.ok()) DieStatus(data_text.status());
-  if (!graph.ok()) DieStatus(graph.status());  // message already names the path
+  Require(data_text.status());
+  Require(graph.status());  // message already names the path
   StatusOr<TrainingSet> data = ParseTrainingSet(*data_text);
   if (!data.ok()) {
-    DieStatus(Status(data.status().code(),
-                     data_path + ": " + data.status().message()));
+    Require(Status(data.status().code(),
+                   data_path + ": " + data.status().message()));
   }
-  ValidateData(*graph, *data);
-
-  ErmOptions options;
-  options.rank = GetNonNegativeInt(args, "rank", 1);
-  options.radius = args.GetInt("radius", -1);
-  if (options.radius < -1) {
-    std::fprintf(stderr, "--radius must be >= 0 (or -1 for automatic)\n");
-    return 64;
-  }
-  options.governor = governor;
-  options.threads = GetThreads(args);
-  options.cache_bytes = GetCacheBytes(args);
-  int ell = GetNonNegativeInt(args, "ell", 0);
-  std::string learner = args.Get("learner", "brute");
-  double epsilon = args.GetDouble("epsilon", 0.2);
-  if (!(epsilon > 0.0) || epsilon >= 1.0) {
-    std::fprintf(stderr, "--epsilon must be in (0, 1)\n");
-    return 64;
-  }
-  if (learner != "brute" && learner != "sublinear" && learner != "nd") {
-    std::fprintf(stderr, "unknown learner '%s' (brute|sublinear|nd)\n",
-                 learner.c_str());
-    return 64;
-  }
+  LearnRequest learn;
+  learn.learner = args.Get("learner", learn.learner);
+  learn.rank = args.GetInt("rank", learn.rank);
+  learn.radius = args.GetInt("radius", learn.radius);
+  learn.ell = args.GetInt("ell", learn.ell);
+  learn.threads = args.GetInt("threads", learn.threads);
+  learn.epsilon = args.GetDouble("epsilon", learn.epsilon);
+  Require(CheckLearnRequest(learn));
+  Require(CheckExampleVertices(*graph, *data));
+  ErmOptions context;
+  context.governor = governor;
+  context.cache_bytes = GetCacheBytes(args);
 
   // Checkpoint/resume wiring. --checkpoint-every-ms and --crash-at-save
   // modulate saving, so they require --checkpoint; --resume alone is fine
@@ -525,16 +469,13 @@ int CmdLearn(const Args& args, ResourceGovernor* governor) {
     std::fprintf(stderr, "--checkpoint-every-ms must be >= 0\n");
     return 64;
   }
-  const uint64_t fingerprint = ProblemFingerprint(
-      graph_fingerprint, *data_text, learner, options.rank, options.radius,
-      ell, epsilon);
+  const uint64_t fingerprint =
+      ProblemFingerprint(graph_fingerprint, *data_text, learn);
   std::optional<SearchFrontier> frontier;
   if (args.Has("resume")) {
     StatusOr<SearchFrontier> loaded = LoadFrontier(args.Get("resume"));
-    if (!loaded.ok()) DieStatus(loaded.status());
-    Status compatible =
-        CheckFrontierCompatible(*loaded, learner, fingerprint);
-    if (!compatible.ok()) DieStatus(compatible);
+    Require(loaded.status());
+    Require(CheckFrontierCompatible(*loaded, learn.learner, fingerprint));
     frontier = *std::move(loaded);
   }
   std::optional<SearchCheckpointer> checkpointer;
@@ -550,36 +491,21 @@ int CmdLearn(const Args& args, ResourceGovernor* governor) {
       checkpointer->set_crash_after_saves(crash_at);
     }
   }
-  options.scan.checkpointer =
+  context.scan.checkpointer =
       checkpointer.has_value() ? &*checkpointer : nullptr;
-  options.scan.resume = frontier.has_value() ? &*frontier : nullptr;
-  options.scan.fingerprint = fingerprint;
+  context.scan.resume = frontier.has_value() ? &*frontier : nullptr;
+  context.scan.fingerprint = fingerprint;
 
-  ErmResult result;
-  if (learner == "brute") {
-    result = BruteForceErm(*graph, *data, ell, options);
-  } else if (learner == "sublinear") {
-    result = SublinearErm(*graph, *data, ell, options).erm;
-  } else {
-    NdLearnerOptions nd;
-    nd.rank = options.rank;
-    nd.radius = options.radius;
-    nd.ell_star = std::max(ell, 1);
-    nd.epsilon = epsilon;
-    nd.governor = governor;
-    nd.threads = options.threads;
-    nd.cache_bytes = options.cache_bytes;
-    nd.scan = options.scan;
-    result = LearnNowhereDense(*graph, *data, nd).erm;
-  }
+  ErmResult result = RunLearn(*graph, *data, learn, context);
   // An interrupted scan reports the error over the examples it saw
   // before the cut, which can be optimistic; `eval` gives the true one.
   std::fprintf(stderr, "training error%s: %.4f over %lld local types\n",
                IsInterrupted(result.status) ? " (partial)" : "",
                result.training_error,
                static_cast<long long>(result.distinct_types_seen));
-  Hypothesis hypothesis = result.hypothesis.ToExplicit();
-  std::string text = HypothesisToText(hypothesis);
+  StatusOr<MaterializedModel> model = MaterializeModel(result.hypothesis);
+  Require(model.status());
+  const std::string& text = model->text;
   std::string out_path = args.Get("out");
   if (out_path.empty()) {
     std::fputs(text.c_str(), stdout);
@@ -600,25 +526,9 @@ int CmdEval(const Args& args, ResourceGovernor* governor) {
   TrainingSet data = LoadData(args, graph);
   StatusOr<Hypothesis> hypothesis =
       LoadHypothesisFile(GetRequiredPath(args, "model"));
-  if (!hypothesis.ok()) DieStatus(hypothesis.status());
-  // The model header's arity and parameters are checked against the data
-  // and the graph the way folearnd checks them (exit 65).
-  for (Vertex w : hypothesis->parameters) {
-    if (!graph.IsValidVertex(w)) {
-      DieStatus(DataLossError("model parameter vertex " + std::to_string(w) +
-                              " outside the graph (order " +
-                              std::to_string(graph.order()) + ")"));
-    }
-  }
-  const size_t k = hypothesis->query_vars.size();
-  for (const LabeledExample& example : data) {
-    if (example.tuple.size() != k) {
-      DieStatus(DataLossError("example arity " +
-                              std::to_string(example.tuple.size()) +
-                              " does not match the model's k=" +
-                              std::to_string(k)));
-    }
-  }
+  Require(hypothesis.status());
+  Require(CheckModelFits(graph, hypothesis->parameters, hypothesis->k(),
+                         data));
   double err = TrainingError(graph, *hypothesis, data,
                              GetEvalOptions(args, governor));
   std::printf("error: %.4f on %zu examples\n", err, data.size());
@@ -641,18 +551,12 @@ void DeclareMissingColors(const FormulaRef& formula, Graph& graph) {
 
 int CmdMc(const Args& args, ResourceGovernor* governor) {
   Graph graph = LoadGraph(args);
-  std::string sentence_text = args.Get("sentence");
-  std::string error;
-  std::optional<FormulaRef> sentence = ParseFormula(sentence_text, &error);
-  if (!sentence.has_value()) {
-    std::fprintf(stderr, "sentence parse error: %s\n", error.c_str());
-    return 1;
+  if (!args.Has("sentence")) {
+    std::fprintf(stderr, "missing --sentence\n");
+    return 64;
   }
-  if (!(*sentence)->free_variables().empty()) {
-    std::fprintf(stderr, "mc requires a sentence; '%s' occurs free\n",
-                 (*sentence)->free_variables().front().c_str());
-    return 1;
-  }
+  StatusOr<FormulaRef> sentence = ParseSentence(args.Get("sentence"));
+  Require(sentence.status());
   bool value;
   if (args.Has("via-erm")) {
     // The reduction reads colours off the graph: declare each colour the
@@ -686,7 +590,7 @@ int CmdMc(const Args& args, ResourceGovernor* governor) {
 
 int CmdProfile(const Args& args) {
   Graph graph = LoadGraph(args);
-  int radius = args.GetInt("radius", 2);
+  const int radius = GetNonNegativeInt(args, "radius", 2);
   Table table({"invariant", "value"});
   table.AddRow({"order", std::to_string(graph.order())});
   table.AddRow({"edges", std::to_string(graph.EdgeCount())});
@@ -798,9 +702,7 @@ int Main(int argc, char** argv) {
   // the slower mirrored lane; an ungoverned eval/mc dies on the signal's
   // default disposition instead.
   std::optional<ResourceGovernor> governor;
-  if (!MakeGovernor(args, governor, /*always=*/command == "learn")) {
-    return 64;
-  }
+  MakeGovernor(args, governor, /*always=*/command == "learn");
   ResourceGovernor* gov = governor.has_value() ? &*governor : nullptr;
 
   // generate and profile run no governed search loops; the limits are

@@ -39,6 +39,7 @@
 #include "server/client.h"
 #include "util/checkpoint.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace folearn {
 namespace {
@@ -65,16 +66,13 @@ int Usage() {
 // Parses a decimal int64 flag value; exits 64 on malformed input, the
 // same convention as the daemon's flag parser.
 int64_t ParseInt64Flag(const std::string& key, const std::string& value) {
-  try {
-    size_t pos = 0;
-    int64_t parsed = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+  int64_t parsed = 0;
+  if (!ParseInt64(value, &parsed)) {
     std::fprintf(stderr, "invalid value '%s' for flag '--%s'\n",
                  value.c_str(), key.c_str());
     std::exit(64);
   }
+  return parsed;
 }
 
 // A request-id unique enough for the dedup window: wall-clock nanos plus

@@ -23,12 +23,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 
 #include "server/server.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace folearn {
 namespace {
@@ -76,19 +78,27 @@ int Usage() {
   return 64;
 }
 
-// Minimal --key value parser (same conventions as folearn_cli: each flag
-// at most once, malformed numbers exit 64).
-int64_t ParseInt64(const std::string& key, const std::string& value) {
-  try {
-    size_t pos = 0;
-    int64_t parsed = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+// Numeric flags follow folearn_cli's conventions: strict decimal
+// (util/strings.h), and a malformed or out-of-range value exits 64 naming
+// the flag. Sets *out only when --key was given.
+template <typename Int>
+void ReadFlag(const std::map<std::string, std::string>& flags,
+              const char* key, int64_t min, Int* out,
+              int64_t max = std::numeric_limits<Int>::max()) {
+  auto it = flags.find(key);
+  if (it == flags.end()) return;
+  int64_t value = 0;
+  if (!ParseInt64(it->second, &value)) {
     std::fprintf(stderr, "invalid value '%s' for flag '--%s'\n",
-                 value.c_str(), key.c_str());
+                 it->second.c_str(), key);
     std::exit(64);
   }
+  if (value < min || value > max) {
+    std::fprintf(stderr, "--%s must be in [%lld, %lld]\n", key,
+                 static_cast<long long>(min), static_cast<long long>(max));
+    std::exit(64);
+  }
+  *out = static_cast<Int>(value);
 }
 
 int Main(int argc, char** argv) {
@@ -130,113 +140,23 @@ int Main(int argc, char** argv) {
     }
   }
   if (flags.count("state-dir") != 0) options.state_dir = flags["state-dir"];
-  if (flags.count("max-inflight") != 0) {
-    int64_t n = ParseInt64("max-inflight", flags["max-inflight"]);
-    if (n < 1) {
-      std::fprintf(stderr, "--max-inflight must be >= 1\n");
-      return 64;
-    }
-    options.max_inflight = static_cast<int>(n);
-  }
-  if (flags.count("max-deadline-ms") != 0) {
-    options.max_deadline_ms =
-        ParseInt64("max-deadline-ms", flags["max-deadline-ms"]);
-    if (options.max_deadline_ms < 0) {
-      std::fprintf(stderr, "--max-deadline-ms must be >= 0\n");
-      return 64;
-    }
-  }
-  if (flags.count("max-work") != 0) {
-    options.max_work = ParseInt64("max-work", flags["max-work"]);
-    if (options.max_work <= 0) {
-      std::fprintf(stderr, "--max-work must be positive\n");
-      return 64;
-    }
-  }
-  if (flags.count("cache-bytes") != 0) {
-    options.ball_cache_bytes = ParseInt64("cache-bytes", flags["cache-bytes"]);
-    if (options.ball_cache_bytes < 0) {
-      std::fprintf(stderr, "--cache-bytes must be >= 0\n");
-      return 64;
-    }
-  }
-  if (flags.count("plan-cache-bytes") != 0) {
-    options.plan_cache_bytes =
-        ParseInt64("plan-cache-bytes", flags["plan-cache-bytes"]);
-    if (options.plan_cache_bytes < 0) {
-      std::fprintf(stderr, "--plan-cache-bytes must be >= 0\n");
-      return 64;
-    }
-  }
-  if (flags.count("session-ttl-ms") != 0) {
-    options.session_ttl_ms =
-        ParseInt64("session-ttl-ms", flags["session-ttl-ms"]);
-    if (options.session_ttl_ms <= 0) {
-      std::fprintf(stderr, "--session-ttl-ms must be positive\n");
-      return 64;
-    }
-  }
-  if (flags.count("dedup-window") != 0) {
-    int64_t n = ParseInt64("dedup-window", flags["dedup-window"]);
-    if (n < 1) {
-      std::fprintf(stderr, "--dedup-window must be >= 1\n");
-      return 64;
-    }
-    options.dedup_window = static_cast<int>(n);
-  }
-  if (flags.count("crash-at-journal-write") != 0) {
-    options.crash_at_journal_write =
-        ParseInt64("crash-at-journal-write", flags["crash-at-journal-write"]);
-  }
-  if (flags.count("mem-budget-bytes") != 0) {
-    options.mem_budget_bytes =
-        ParseInt64("mem-budget-bytes", flags["mem-budget-bytes"]);
-    if (options.mem_budget_bytes <= 0) {
-      std::fprintf(stderr, "--mem-budget-bytes must be positive\n");
-      return 64;
-    }
-  }
-  if (flags.count("session-mem-bytes") != 0) {
-    options.session_mem_bytes =
-        ParseInt64("session-mem-bytes", flags["session-mem-bytes"]);
-    if (options.session_mem_bytes <= 0) {
-      std::fprintf(stderr, "--session-mem-bytes must be positive\n");
-      return 64;
-    }
-  }
-  if (flags.count("mem-watchdog-ms") != 0) {
-    options.mem_watchdog_ms =
-        ParseInt64("mem-watchdog-ms", flags["mem-watchdog-ms"]);
-    if (options.mem_watchdog_ms < 1) {
-      std::fprintf(stderr, "--mem-watchdog-ms must be >= 1\n");
-      return 64;
-    }
-  }
-  if (flags.count("max-session-models") != 0) {
-    options.max_session_models =
-        ParseInt64("max-session-models", flags["max-session-models"]);
-    if (options.max_session_models < 1) {
-      std::fprintf(stderr, "--max-session-models must be >= 1\n");
-      return 64;
-    }
-  }
-  if (flags.count("journal-compact-bytes") != 0) {
-    options.journal_compact_bytes =
-        ParseInt64("journal-compact-bytes", flags["journal-compact-bytes"]);
-    if (options.journal_compact_bytes <= 0) {
-      std::fprintf(stderr, "--journal-compact-bytes must be positive\n");
-      return 64;
-    }
-  }
-  if (flags.count("force-tier") != 0) {
-    int64_t tier = ParseInt64("force-tier", flags["force-tier"]);
-    if (tier < 0 || tier > 3) {
-      std::fprintf(stderr,
-                   "--force-tier must be 0 (green) .. 3 (black)\n");
-      return 64;
-    }
-    options.force_tier = static_cast<int>(tier);
-  }
+  constexpr int64_t kAny = std::numeric_limits<int64_t>::min();
+  ReadFlag(flags, "max-inflight", 1, &options.max_inflight);
+  ReadFlag(flags, "max-deadline-ms", 0, &options.max_deadline_ms);
+  ReadFlag(flags, "max-work", 1, &options.max_work);
+  ReadFlag(flags, "cache-bytes", 0, &options.ball_cache_bytes);
+  ReadFlag(flags, "plan-cache-bytes", 0, &options.plan_cache_bytes);
+  ReadFlag(flags, "session-ttl-ms", 1, &options.session_ttl_ms);
+  ReadFlag(flags, "dedup-window", 1, &options.dedup_window);
+  ReadFlag(flags, "crash-at-journal-write", kAny,
+           &options.crash_at_journal_write);
+  ReadFlag(flags, "mem-budget-bytes", 1, &options.mem_budget_bytes);
+  ReadFlag(flags, "session-mem-bytes", 1, &options.session_mem_bytes);
+  ReadFlag(flags, "mem-watchdog-ms", 1, &options.mem_watchdog_ms);
+  ReadFlag(flags, "max-session-models", 1, &options.max_session_models);
+  ReadFlag(flags, "journal-compact-bytes", 1, &options.journal_compact_bytes);
+  ReadFlag(flags, "force-tier", 0, &options.force_tier,
+           static_cast<int>(PressureTier::kBlack));
 
   Server server(std::move(options));
   // Handlers go in before Start(): the socket file becomes visible (and
