@@ -2,15 +2,16 @@
 // degree-threshold concepts that plain FO cannot express at low quantifier
 // rank. "x has at least t neighbours" needs rank t in plain FO (t
 // pairwise-distinct witnesses) but is a rank-1 counting concept — and the
-// counting learner exploits exactly that.
+// learner exploits exactly that when its type registry counts child
+// multiplicities up to t.
 //
 //   $ ./degree_concepts
 
 #include <cstdio>
+#include <memory>
 
 #include "fo/printer.h"
 #include "graph/generators.h"
-#include "learn/counting_erm.h"
 #include "learn/erm.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -18,6 +19,11 @@
 using namespace folearn;
 
 int main() {
+  // FO+C learning: the plain learner over a registry whose child
+  // multiplicities are capped at the threshold.
+  ErmOptions counting_options;
+  counting_options.rank = 1;
+  counting_options.radius = 1;
   Rng rng(1337);
   Graph g = MakePreferentialAttachment(120, 1, rng);
   std::printf("network: preferential attachment, %d vertices, max degree "
@@ -32,12 +38,9 @@ int main() {
     }
     ErmResult plain_q1 = TypeMajorityErm(g, examples, {}, {1, 1});
     ErmResult plain_q2 = TypeMajorityErm(g, examples, {}, {2, 1});
-    CountingErmOptions options;
-    options.rank = 1;
-    options.cap = threshold;
-    options.radius = 1;
-    CountingErmResult counting =
-        CountingTypeMajorityErm(g, examples, {}, options);
+    ErmResult counting = TypeMajorityErm(
+        g, examples, {}, counting_options,
+        std::make_shared<TypeRegistry>(g.vocabulary(), threshold));
     table.AddRow({"deg >= " + std::to_string(threshold),
                   FormatDouble(plain_q1.training_error, 3),
                   FormatDouble(plain_q2.training_error, 3),
@@ -51,12 +54,9 @@ int main() {
   for (Vertex v = 0; v < g.order(); ++v) {
     examples.push_back({{v}, g.Degree(v) >= 2});
   }
-  CountingErmOptions options;
-  options.rank = 1;
-  options.cap = 2;
-  options.radius = 1;
-  CountingErmResult result = CountingTypeMajorityErm(g, examples, {},
-                                                     options);
+  ErmResult result =
+      TypeMajorityErm(g, examples, {}, counting_options,
+                      std::make_shared<TypeRegistry>(g.vocabulary(), 2));
   Hypothesis h = result.hypothesis.ToExplicit();
   std::string rendered = ToString(h.formula);
   if (rendered.size() > 300) rendered = rendered.substr(0, 300) + " …";

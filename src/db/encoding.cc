@@ -2,7 +2,7 @@
 
 namespace folearn {
 
-std::string ElementColorName() { return "Elem"; }
+namespace {
 
 std::string RelationColorName(const std::string& relation) {
   return "Rel_" + relation;
@@ -11,6 +11,10 @@ std::string RelationColorName(const std::string& relation) {
 std::string PositionColorName(int position) {
   return "Pos_" + std::to_string(position);
 }
+
+}  // namespace
+
+std::string ElementColorName() { return "Elem"; }
 
 std::vector<Vertex> EncodedDatabase::MapTuple(
     const std::vector<int>& elements) const {
@@ -83,12 +87,6 @@ FormulaRef ExistsElem(const std::string& var, FormulaRef body) {
   return Formula::Exists(
       var, Formula::And(Formula::Color(ElementColorName(), var),
                         std::move(body)));
-}
-
-FormulaRef ForallElem(const std::string& var, FormulaRef body) {
-  return Formula::Forall(
-      var, Formula::Implies(Formula::Color(ElementColorName(), var),
-                            std::move(body)));
 }
 
 }  // namespace folearn

@@ -40,10 +40,9 @@ struct EncodedDatabase {
 
 EncodedDatabase EncodeDatabase(const Database& database);
 
-// Colour names used by the encoding.
-std::string ElementColorName();                     // "Elem"
-std::string RelationColorName(const std::string&);  // "Rel_<name>"
-std::string PositionColorName(int position);        // "Pos_<i>" (0-based)
+// The element colour of the encoding, "Elem". Tuple vertices carry
+// "Rel_<name>" and position vertices "Pos_<i>" (0-based).
+std::string ElementColorName();
 
 // The graph-side translation of the relational atom R(v1, …, vr):
 //   ∃t (Rel_R(t) ∧ ⋀_i ∃p (Pos_i(p) ∧ E(t, p) ∧ E(p, v_i))).
@@ -51,10 +50,9 @@ std::string PositionColorName(int position);        // "Pos_<i>" (0-based)
 FormulaRef RelationAtom(const std::string& relation,
                         const std::vector<std::string>& vars);
 
-// Element-sorted quantifiers: ∃x (Elem(x) ∧ φ) and ∀x (Elem(x) → φ) —
-// queries over the encoded graph should range over element vertices only.
+// Element-sorted quantifier ∃x (Elem(x) ∧ φ) — queries over the encoded
+// graph should range over element vertices only.
 FormulaRef ExistsElem(const std::string& var, FormulaRef body);
-FormulaRef ForallElem(const std::string& var, FormulaRef body);
 
 }  // namespace folearn
 

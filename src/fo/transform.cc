@@ -201,8 +201,7 @@ FormulaRef AvoidRec(const FormulaRef& f, const std::set<std::string>& avoid,
   return nullptr;
 }
 
-}  // namespace
-
+// Alpha-renames every *bound* variable whose name appears in `avoid`.
 FormulaRef AvoidBoundVariables(const FormulaRef& f,
                                const std::set<std::string>& avoid) {
   std::set<std::string> used = CollectVariableNames(f);
@@ -210,8 +209,6 @@ FormulaRef AvoidBoundVariables(const FormulaRef& f,
   FreshVariablePool pool(std::move(used));
   return AvoidRec(f, avoid, pool);
 }
-
-namespace {
 
 FormulaRef EliminateRec(
     const FormulaRef& f, const std::string& var, const std::string& pt_color,

@@ -39,10 +39,6 @@ FormulaRef RenameFreeVariables(
     const FormulaRef& f,
     const std::unordered_map<std::string, std::string>& renaming);
 
-// Alpha-renames every *bound* variable whose name appears in `avoid`.
-FormulaRef AvoidBoundVariables(const FormulaRef& f,
-                               const std::set<std::string>& avoid);
-
 // Lemma 7's variable elimination: given a formula ψ with free variable
 // `var` and a distinguished vertex t marked by fresh colours P_t, Q_t
 // (P_t = {t}, Q_t = N(t)), produces ψ_t with `var` eliminated:

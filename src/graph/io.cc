@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/checkpoint.h"
 #include "util/strings.h"
 
 namespace folearn {
@@ -127,17 +126,6 @@ StatusOr<Graph> ParseGraph(std::string_view text) {
   std::optional<Graph> graph = FromText(text, &error);
   if (!graph.has_value()) return InvalidArgumentError(error);
   return *std::move(graph);
-}
-
-StatusOr<Graph> LoadGraphFile(const std::string& path) {
-  StatusOr<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  StatusOr<Graph> graph = ParseGraph(*text);
-  if (!graph.ok()) {
-    return Status(graph.status().code(),
-                  path + ": " + graph.status().message());
-  }
-  return graph;
 }
 
 std::string ToDot(const Graph& graph, std::string_view name) {

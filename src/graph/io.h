@@ -32,10 +32,6 @@ std::optional<Graph> FromText(std::string_view text,
 // diagnostic, never a crash.
 StatusOr<Graph> ParseGraph(std::string_view text);
 
-// Reads and parses `path`. A missing/unreadable file is kNotFound; malformed
-// contents are kInvalidArgument. Diagnostics are prefixed with the path.
-StatusOr<Graph> LoadGraphFile(const std::string& path);
-
 // Graphviz DOT rendering (undirected), colours emitted as vertex labels.
 std::string ToDot(const Graph& graph, std::string_view name = "G");
 

@@ -122,8 +122,8 @@ namespace {
 ScanOutcome RunComposedScan(
     const Graph& graph, const TrainingSet& examples, int64_t num_candidates,
     const std::function<std::vector<Vertex>(int64_t)>& parameters_at,
-    const ErmOptions& options, std::string_view learner, bool early_stop,
-    int64_t first_item_discount) {
+    const ErmOptions& options, int cap, std::string_view learner,
+    bool early_stop, int64_t first_item_discount) {
   const int64_t m = static_cast<int64_t>(examples.size());
   const int workers = EffectiveThreads(options.threads);
   const int radius = options.EffectiveRadius();
@@ -171,7 +171,7 @@ ScanOutcome RunComposedScan(
       spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
         Worker& w = state[worker];
         if (w.shard == nullptr) {
-          w.shard = std::make_shared<TypeRegistry>(graph.vocabulary());
+          w.shard = std::make_shared<TypeRegistry>(graph.vocabulary(), cap);
           w.composer = std::make_unique<TypeComposer>(w.shard.get());
           if (workers == 1 && options.ball_cache != nullptr) {
             // A one-worker sweep runs on the caller's thread, so it may
@@ -270,7 +270,7 @@ ErmResult TypeMajoritySweep(
   ScanOutcome outcome;
   if (options.scan.resume != nullptr || fits) {
     outcome = RunComposedScan(graph, examples, num_candidates, parameters_at,
-                              options, learner, early_stop,
+                              options, registry->cap(), learner, early_stop,
                               first_item_discount);
   }
 

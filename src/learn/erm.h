@@ -28,6 +28,16 @@ namespace folearn {
 // per-type majority vote is the exact empirical risk minimiser over that
 // (strictly larger) class. The learners below differ only in how they
 // search the *parameter* dimension.
+//
+// The class is fixed by the type registry's cap: a cap-T registry makes
+// TypeMajorityErm, TypeMajoritySweep and BruteForceErm ERM over FO+C with
+// counting thresholds ≤ T (the extension the paper's conclusion names,
+// following van Bergerem LICS 2019), since a counting query with fixed
+// parameters is a union of local counting types (types/type.h). That class
+// is strictly larger at equal rank: "deg(x) ≥ t" is a rank-1 cap-t concept
+// but needs rank t in plain FO. nullptr registries are plain (cap 1).
+// EnumerationErm takes no registry, and the sublinear and nowhere-dense
+// learners build their own cap-1 registries, so those stay plain FO.
 
 struct ErmOptions {
   int rank = 1;     // q: quantifier-rank budget of the hypothesis class
@@ -115,16 +125,16 @@ ErmResult TypeMajorityErm(const Graph& graph, const TrainingSet& examples,
 // pair costs one governor work unit, and the candidate's error is the one
 // TypeMajorityErm reports.
 //
-// Candidate errors are evaluated on per-worker type-registry shards (in
-// parallel with options.threads > 1; deterministic index-ordered argmin),
-// and the winning candidate is then re-evaluated directly, on `registry`
-// (nullptr = a fresh one), so TypeIds, serialised model bytes, governor
-// work accounting, and every diagnostic are identical to a
-// single-threaded scan of direct TypeMajorityErm calls. Each candidate
-// costs m + 1 governor units (an outer checkpoint plus one per example),
-// except that `first_item_discount` = 1 waives candidate 0's outer
-// checkpoint. Deterministic governor limits (work budget, fault injector)
-// fix the evaluated range up front and are charged as the
+// Candidate errors are evaluated on per-worker type-registry shards at
+// `registry`'s cap (in parallel with options.threads > 1; deterministic
+// index-ordered argmin), and the winning candidate is then re-evaluated
+// directly, on `registry` (nullptr = a fresh plain one), so TypeIds,
+// serialised model bytes, governor work accounting, and every diagnostic
+// are identical to a single-threaded scan of direct TypeMajorityErm calls.
+// Each candidate costs m + 1 governor units (an outer checkpoint plus one
+// per example), except that `first_item_discount` = 1 waives candidate 0's
+// outer checkpoint. Deterministic governor limits (work budget, fault
+// injector) fix the evaluated range up front and are charged as the
 // sequential-equivalent batch; the wall-clock deadline is polled
 // cooperatively per candidate. options.scan checkpoints and resumes the
 // scan under the tag `learner` (see learn/search_state.h).

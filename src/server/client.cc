@@ -17,6 +17,15 @@
 
 namespace folearn {
 
+namespace {
+
+// A transport failure RetryingClient may retry (see client.h).
+bool IsRetryableTransportFailure(const Status& status) {
+  return status.code() == StatusCode::kUnavailable;
+}
+
+}  // namespace
+
 StatusOr<Client> Client::Connect(const std::string& socket_path,
                                  int64_t io_timeout_ms) {
   Status path_ok = ValidateSocketPath(socket_path);
@@ -132,10 +141,6 @@ Status Client::RequestShutdown() {
   StatusOr<Message> response = Call(request);
   if (!response.ok()) return response.status();
   return OkStatus();
-}
-
-bool IsRetryableTransportFailure(const Status& status) {
-  return status.code() == StatusCode::kUnavailable;
 }
 
 bool IsRetryableResponse(const Message& response) {

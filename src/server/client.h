@@ -67,7 +67,6 @@ int ResponseExitCode(const Message& response);
 //   * a status=error response (the request itself is at fault),
 //   * kDataLoss (torn or corrupt frame: the stream is untrusted),
 //   * kInvalidArgument (bad socket path or request).
-bool IsRetryableTransportFailure(const Status& status);
 bool IsRetryableResponse(const Message& response);
 
 struct RetryPolicy {

@@ -43,7 +43,9 @@ int64_t DistTextLowerBound(int d) {
 //
 //   φ_θ = atoms(θ) ∧ ⋀_{θ′} ∃z (guard(z) ∧ φ_θ′) ∧ ∀z (guard(z) → ⋁_{θ′} φ_θ′)
 //
-// so every child's text appears twice, and each quantifier carries the
+// with θ′ over the distinct children (over a cap > 1 registry the ∃ is
+// an ∃^{≥c}, printed no shorter, and may come with a negated one), so
+// every child's text appears at least twice, and each quantifier carries the
 // guard dist(z, centres) ≤ r: one DistAtMost per centre variable. Only
 // atoms and quantifiers are counted, at their shortest printed forms. The
 // Hintikka variables (x1…, y1…, _h2…) have at least two characters, so a
@@ -70,12 +72,14 @@ class TextLowerBound {
                            SatMul(arity * (arity - 1) / 2, 7 + 9));
     // A type with no children would fold to `false`; count nothing for it.
     if (node.rank > 0 && !node.children.empty()) {
-      const int64_t quantifiers =
-          static_cast<int64_t>(node.children.size()) + 1;
-      bytes = SatAdd(bytes, SatMul(quantifiers, quantifier_bytes_));
-      for (TypeId child : node.children) {
-        bytes = SatAdd(bytes, SatMul(2, Of(child)));
+      // One ∃ (or ∃^{≥c}) per distinct child, whatever the registry's cap.
+      int64_t quantifiers = 1;
+      for (size_t i = 0; i < node.children.size(); ++i) {
+        if (i > 0 && node.children[i] == node.children[i - 1]) continue;
+        ++quantifiers;
+        bytes = SatAdd(bytes, SatMul(2, Of(node.children[i])));
       }
+      bytes = SatAdd(bytes, SatMul(quantifiers, quantifier_bytes_));
     }
     memo_.emplace(type, bytes);
     return bytes;

@@ -1,5 +1,6 @@
 #include "types/hintikka.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "fo/transform.h"
@@ -54,17 +55,24 @@ FormulaRef HintikkaBuilder::Build(TypeId type,
     }
     std::vector<std::string> extended = vars;
     extended.push_back(fresh);
-    std::vector<FormulaRef> exists_parts;
-    std::vector<FormulaRef> forall_parts;
-    for (TypeId child : node.children) {
-      FormulaRef child_formula = Build(child, extended);
-      exists_parts.push_back(
-          Formula::Exists(fresh, child_formula));
-      forall_parts.push_back(std::move(child_formula));
-    }
+    const int cap = registry_.cap();
     std::vector<FormulaRef> all_parts;
+    std::vector<FormulaRef> forall_parts;
     all_parts.push_back(std::move(result));
-    for (FormulaRef& part : exists_parts) all_parts.push_back(std::move(part));
+    // One run (θ′, c) per distinct child: c copies of θ′ in the multiset.
+    for (auto run = node.children.begin(); run != node.children.end();) {
+      const auto run_end = std::upper_bound(run, node.children.end(), *run);
+      const int count = static_cast<int>(run_end - run);
+      FormulaRef child_formula = Build(*run, extended);
+      all_parts.push_back(Formula::CountExists(count, fresh, child_formula));
+      if (count < cap) {
+        // Exact multiplicity below the cap: not one more.
+        all_parts.push_back(Formula::Not(
+            Formula::CountExists(count + 1, fresh, child_formula)));
+      }
+      forall_parts.push_back(std::move(child_formula));
+      run = run_end;
+    }
     all_parts.push_back(
         Formula::Forall(fresh, Formula::Or(std::move(forall_parts))));
     result = Formula::And(std::move(all_parts));
@@ -83,13 +91,6 @@ FormulaRef HintikkaFormula(const TypeRegistry& registry, TypeId type,
                            const std::vector<std::string>& vars) {
   HintikkaBuilder builder(registry);
   return builder.Build(type, vars);
-}
-
-FormulaRef LocalHintikkaFormula(const TypeRegistry& registry, TypeId type,
-                                const std::vector<std::string>& vars,
-                                int radius) {
-  HintikkaBuilder builder(registry);
-  return builder.BuildLocal(type, vars, radius);
 }
 
 }  // namespace folearn

@@ -21,6 +21,11 @@ namespace folearn {
 //   rank q:  atomic ∧ ⋀_{θ′ ∈ children} ∃z φ_{θ′}(x̄, z)
 //                  ∧ ∀z ⋁_{θ′ ∈ children} φ_{θ′}(x̄, z).
 //
+// Over a registry with cap T > 1 (counting types, FO+C) each distinct
+// child θ′ with capped multiplicity c contributes ∃^{≥c}z φ_{θ′} and, when
+// c < T, also ¬∃^{≥c+1}z φ_{θ′}: thresholds stay ≤ T + 1. At cap 1 every c
+// is 1 and ∃^{≥1} is ∃, so the formula is the plain one above.
+//
 // This is what lets the library return *actual formulas* wherever the paper
 // says "a formula of quantifier rank q": every hypothesis and every oracle
 // answer is a boolean combination of Hintikka formulas.
@@ -49,12 +54,9 @@ class HintikkaBuilder {
   std::unordered_map<std::string, FormulaRef> memo_;
 };
 
-// One-shot helpers.
+// One-shot helper.
 FormulaRef HintikkaFormula(const TypeRegistry& registry, TypeId type,
                            const std::vector<std::string>& vars);
-FormulaRef LocalHintikkaFormula(const TypeRegistry& registry, TypeId type,
-                                const std::vector<std::string>& vars,
-                                int radius);
 
 }  // namespace folearn
 

@@ -4,6 +4,22 @@
 
 namespace folearn {
 
+namespace {
+
+// Sorts a node's children into the registry's canonical multiset: at most
+// `cap` copies of each id. Each element is kept iff fewer than `cap` copies
+// of it are kept already; at cap 1 that is std::unique's pass.
+void CapChildren(std::vector<TypeId>& children, int cap) {
+  std::sort(children.begin(), children.end());
+  auto out = children.begin();
+  for (auto it = children.begin(); it != children.end(); ++it) {
+    if (out - children.begin() < cap || *(out - cap) != *it) *out++ = *it;
+  }
+  children.erase(out, children.end());
+}
+
+}  // namespace
+
 AtomicType::AtomicType(const Graph& graph, std::span<const Vertex> tuple)
     : arity_(static_cast<int>(tuple.size())),
       num_colors_(graph.vocabulary().size()) {
@@ -133,9 +149,11 @@ int64_t TypeRegistry::ApproxNodeBytes(const TypeNode& node,
 
 TypeId TypeRegistry::Intern(TypeNode node) {
   FOLEARN_CHECK(std::is_sorted(node.children.begin(), node.children.end()));
-  FOLEARN_CHECK(std::adjacent_find(node.children.begin(),
-                                   node.children.end()) ==
-                node.children.end());
+  // Sorted, so cap_ + 1 copies of an id would put it at i and i + cap_.
+  for (size_t i = cap_; i < node.children.size(); ++i) {
+    FOLEARN_CHECK(node.children[i - cap_] != node.children[i])
+        << "child type repeated more than cap = " << cap_ << " times";
+  }
   std::vector<int64_t> key = EncodeKey(node);
   auto it = index_.find(key);
   if (it != index_.end()) return it->second;
@@ -151,6 +169,7 @@ TypeId TypeRegistry::Intern(TypeNode node) {
 std::vector<TypeId> TypeRegistry::MergeFrom(const TypeRegistry& other) {
   FOLEARN_CHECK(vocabulary_ == other.vocabulary())
       << "registry merge across vocabularies";
+  FOLEARN_CHECK_EQ(cap_, other.cap_) << "registry merge across caps";
   std::vector<TypeId> translation(other.nodes_.size(), kNoType);
   for (TypeId id = 0; id < static_cast<TypeId>(other.nodes_.size()); ++id) {
     TypeNode node = other.nodes_[id];
@@ -158,8 +177,8 @@ std::vector<TypeId> TypeRegistry::MergeFrom(const TypeRegistry& other) {
       FOLEARN_CHECK_LT(child, id) << "registry ids not topologically ordered";
       child = translation[child];
     }
-    // Remapped children keep set semantics but may lose sortedness under
-    // the new numbering (the translation is injective, so no duplicates).
+    // Remapped children keep their multiplicities but may lose sortedness
+    // under the new numbering (the translation is injective).
     std::sort(node.children.begin(), node.children.end());
     translation[id] = Intern(std::move(node));
   }
@@ -193,10 +212,7 @@ TypeId TypeComputer::Type(std::span<const Vertex> tuple, int rank) {
       extended.back() = u;
       node.children.push_back(Type(extended, rank - 1));
     }
-    std::sort(node.children.begin(), node.children.end());
-    node.children.erase(
-        std::unique(node.children.begin(), node.children.end()),
-        node.children.end());
+    CapChildren(node.children, registry_->cap());
   }
   TypeId id = registry_->Intern(std::move(node));
   cache_.emplace(std::move(key), id);
@@ -225,10 +241,7 @@ TypeId TypeComposer::Truncate(TypeId type) {
   const std::vector<TypeId> children = full.children;
   if (node.rank > 0) {
     for (TypeId child : children) node.children.push_back(Truncate(child));
-    std::sort(node.children.begin(), node.children.end());
-    node.children.erase(
-        std::unique(node.children.begin(), node.children.end()),
-        node.children.end());
+    CapChildren(node.children, registry_->cap());
   }
   const TypeId id = registry_->Intern(std::move(node));
   truncated_.emplace(type, id);
@@ -264,10 +277,7 @@ TypeId TypeComposer::Compose(TypeId t1, TypeId t2, uint64_t layout) {
     for (TypeId c : b_children) {
       node.children.push_back(Compose(a_rest, c, u_in_b));
     }
-    std::sort(node.children.begin(), node.children.end());
-    node.children.erase(
-        std::unique(node.children.begin(), node.children.end()),
-        node.children.end());
+    CapChildren(node.children, registry_->cap());
   }
   const TypeId id = registry_->Intern(std::move(node));
   composed_.emplace(key, id);

@@ -28,6 +28,20 @@ namespace folearn {
 //
 // Local types ltp_{q,r}(G, v̄) = tp_q(N_r^G(v̄), v̄) (Fact 5) are types of
 // the induced r-ball with the tuple mapped along.
+//
+// Counting types (FO+C, the extension the paper's conclusion asks for,
+// following van Bergerem LICS 2019) are the same tree with the children
+// kept as a multiset whose multiplicities are capped at the registry's
+// `cap`:
+//
+//   tp_q(G, v̄)  = (atomic type,
+//                  { tp_{q−1}(G, v̄u) : u ∈ V(G) } with multiplicities
+//                  min(#u, cap)).
+//
+// Equal cap-T types satisfy the same FO+C formulas of rank ≤ q whose
+// counting thresholds ∃^{≥t} have t ≤ T (the counting EF argument): the
+// capped multiplicities are exactly what such thresholds observe. cap = 1
+// is plain FO.
 
 using TypeId = int32_t;
 inline constexpr TypeId kNoType = -1;
@@ -75,24 +89,29 @@ class AtomicType {
   std::vector<uint64_t> bits_;
 };
 
-// One hash-consed type: the atomic part plus the sorted set of child types
-// (rank−1 types of the extended tuples). rank 0 ⇒ children empty.
+// One hash-consed type: the atomic part plus the sorted multiset of child
+// types (rank−1 types of the extended tuples), each child id repeated
+// min(multiplicity, cap) times — at cap 1 a sorted set. rank 0 ⇒ children
+// empty.
 struct TypeNode {
   int arity = 0;
   int rank = 0;
   AtomicType atomic;
-  std::vector<TypeId> children;  // sorted, unique
+  std::vector<TypeId> children;  // sorted; no id more than cap times
 };
 
-// Interns TypeNodes. A registry is bound to one vocabulary: TypeIds are
-// only comparable for types computed over graphs with that vocabulary
-// (colour names and ids must match — this matters because the learner's
-// contraction step and the hardness reduction both *expand* vocabularies,
-// and each expansion level gets its own registry).
+// Interns TypeNodes. A registry is bound to one vocabulary and one
+// multiplicity cap: TypeIds are only comparable for types computed over
+// graphs with that vocabulary (colour names and ids must match — this
+// matters because the learner's contraction step and the hardness
+// reduction both *expand* vocabularies, and each expansion level gets its
+// own registry) and at that cap.
 class TypeRegistry {
  public:
-  explicit TypeRegistry(Vocabulary vocabulary)
-      : vocabulary_(std::move(vocabulary)) {}
+  explicit TypeRegistry(Vocabulary vocabulary, int cap = 1)
+      : vocabulary_(std::move(vocabulary)), cap_(cap) {
+    FOLEARN_CHECK_GE(cap, 1);
+  }
 
   ~TypeRegistry() {
     if (account_ != nullptr) account_->Release(charged_bytes_);
@@ -118,9 +137,10 @@ class TypeRegistry {
   // overhead, the same estimation style BallCache uses.
   int64_t approx_bytes() const { return charged_bytes_; }
 
-  // Re-interns every node of `other` (same vocabulary) into this registry,
-  // children before parents (registry ids are topologically ordered by
-  // construction — a node's children are interned before the node itself).
+  // Re-interns every node of `other` (same vocabulary and cap) into this
+  // registry, children before parents (registry ids are topologically
+  // ordered by construction — a node's children are interned before the
+  // node itself).
   // Returns the id translation: translation[id in other] = id here.
   // Idempotent on content: merging a registry into an equal one adds
   // nothing. Used to fold per-worker registry shards from parallel sweeps
@@ -137,6 +157,9 @@ class TypeRegistry {
 
   const Vocabulary& vocabulary() const { return vocabulary_; }
 
+  // The largest child multiplicity a type records (1 = plain FO types).
+  int cap() const { return cap_; }
+
   // Number of distinct interned types.
   int64_t size() const { return static_cast<int64_t>(nodes_.size()); }
 
@@ -145,6 +168,7 @@ class TypeRegistry {
   static int64_t ApproxNodeBytes(const TypeNode& node, size_t key_words);
 
   Vocabulary vocabulary_;
+  int cap_;
   std::vector<TypeNode> nodes_;
   std::unordered_map<std::vector<int64_t>, TypeId, VectorHash<int64_t>>
       index_;
@@ -179,9 +203,13 @@ class TypeComputer {
 //   children    = { Compose(c, Truncate(t2)) : c ∈ children(t1) }
 //               ∪ { Compose(Truncate(t1), c) : c ∈ children(t2) },
 //
-// where the new last position goes to the side that owns c. For local
-// types this is the locality fact behind Fact 5 and Lemma 15: when
-// dist(v̄, w̄) > 2r + 1 the r-balls of v̄ and w̄ are disjoint and not
+// where the new last position goes to the side that owns c. Children are
+// multisets: the multiplicities of the images add up and are capped again,
+// which is exact at every cap because min(Σ min(mᵢ, T), T) = min(Σ mᵢ, T).
+// Truncate maps children the same way.
+//
+// For local types this is the locality fact behind Fact 5 and Lemma 15:
+// when dist(v̄, w̄) > 2r + 1 the r-balls of v̄ and w̄ are disjoint and not
 // adjacent, so N_r(v̄w̄) is the disjoint union of N_r(v̄) and N_r(w̄) and
 // ltp_{q,r}(v̄w̄) = Compose(ltp_{q,r}(v̄), ltp_{q,r}(w̄), layout).
 //

@@ -16,7 +16,6 @@
 #include "nd/covering.h"
 #include "nd/wcol.h"
 #include "learn/model_io.h"
-#include "types/counting_type.h"
 #include "types/type.h"
 #include "util/combinatorics.h"
 #include "util/governor.h"
@@ -81,7 +80,14 @@ TEST(FailureTypes, NegativeRankRejected) {
 
 TEST(FailureTypes, CountingRegistryZeroCapRejected) {
   Graph g = MakePath(3);
-  EXPECT_DEATH(CountingTypeRegistry(g.vocabulary(), 0), "");
+  EXPECT_DEATH(TypeRegistry(g.vocabulary(), 0), "");
+}
+
+TEST(FailureTypes, RegistryMergeAcrossCapsRejected) {
+  Graph g = MakePath(3);
+  TypeRegistry plain(g.vocabulary());
+  TypeRegistry counting(g.vocabulary(), 2);
+  EXPECT_DEATH(plain.MergeFrom(counting), "caps");
 }
 
 TEST(FailureCovering, EmptyCentersRejected) {

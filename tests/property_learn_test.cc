@@ -7,7 +7,6 @@
 
 #include "fo/parser.h"
 #include "graph/algorithms.h"
-#include "learn/counting_erm.h"
 #include "learn/erm.h"
 #include "learn/nd_learner.h"
 #include "learn/sublinear.h"
@@ -128,12 +127,9 @@ TEST_P(ErmProperty, CountingNeverWorseThanPlain) {
   AddRandomColors(g, {"Red"}, 0.4, rng);
   TrainingSet examples = NoisyWorkload(g, rng);
   ErmResult plain = TypeMajorityErm(g, examples, {}, {1, 1});
-  CountingErmOptions options;
-  options.rank = 1;
-  options.cap = 3;
-  options.radius = 1;
-  CountingErmResult counting =
-      CountingTypeMajorityErm(g, examples, {}, options);
+  ErmResult counting =
+      TypeMajorityErm(g, examples, {}, {1, 1},
+                      std::make_shared<TypeRegistry>(g.vocabulary(), 3));
   EXPECT_LE(counting.training_error, plain.training_error + 1e-12);
   EXPECT_DOUBLE_EQ(counting.training_error,
                    counting.hypothesis.Error(g, examples));

@@ -11,7 +11,6 @@
 #include "graph/algorithms.h"
 #include "mc/evaluator.h"
 #include "test_helpers.h"
-#include "types/counting_type.h"
 #include "types/hintikka.h"
 #include "types/type.h"
 
@@ -131,11 +130,11 @@ TEST_P(TypesProperty, LocalHintikkaOnFullGraph) {
 TEST_P(TypesProperty, CountingTypesRefinePlainTypes) {
   Graph g = MakeGraph(12);
   TypeRegistry plain(g.vocabulary());
-  CountingTypeRegistry counting(g.vocabulary(), 3);
+  TypeRegistry counting(g.vocabulary(), 3);
   std::map<TypeId, std::set<TypeId>> plain_of_counting;
   for (Vertex v = 0; v < g.order(); ++v) {
     Vertex tuple[] = {v};
-    TypeId c = ComputeCountingType(g, tuple, 1, &counting);
+    TypeId c = ComputeType(g, tuple, 1, &counting);
     TypeId p = ComputeType(g, tuple, 1, &plain);
     plain_of_counting[c].insert(p);
   }
@@ -182,25 +181,28 @@ TEST_P(TypesProperty, PairTypeAgreement) {
 }
 
 // Truncate(tp_q) = tp_{q−1}, for global and local types of single
-// vertices and pairs.
+// vertices and pairs, plain and counting (cap 2: truncation sums the capped
+// multiplicities of the children that collapse together).
 TEST_P(TypesProperty, TruncateDropsOneRank) {
   Graph g = MakeGraph(10);
-  TypeRegistry registry(g.vocabulary());
-  TypeComposer composer(&registry);
-  for (int rank : {1, 2}) {
-    for (Vertex u = 0; u < g.order(); ++u) {
-      Vertex single[] = {u};
-      Vertex pair[] = {u, (u * 7 + 3) % g.order()};
-      ASSERT_EQ(composer.Truncate(ComputeType(g, single, rank, &registry)),
-                ComputeType(g, single, rank - 1, &registry))
-          << "rank=" << rank << " u=" << u;
-      ASSERT_EQ(composer.Truncate(ComputeType(g, pair, rank, &registry)),
-                ComputeType(g, pair, rank - 1, &registry))
-          << "rank=" << rank << " u=" << u;
-      ASSERT_EQ(
-          composer.Truncate(ComputeLocalType(g, pair, rank, 1, &registry)),
-          ComputeLocalType(g, pair, rank - 1, 1, &registry))
-          << "rank=" << rank << " u=" << u;
+  for (int cap : {1, 2}) {
+    TypeRegistry registry(g.vocabulary(), cap);
+    TypeComposer composer(&registry);
+    for (int rank : {1, 2}) {
+      for (Vertex u = 0; u < g.order(); ++u) {
+        Vertex single[] = {u};
+        Vertex pair[] = {u, (u * 7 + 3) % g.order()};
+        ASSERT_EQ(composer.Truncate(ComputeType(g, single, rank, &registry)),
+                  ComputeType(g, single, rank - 1, &registry))
+            << "cap=" << cap << " rank=" << rank << " u=" << u;
+        ASSERT_EQ(composer.Truncate(ComputeType(g, pair, rank, &registry)),
+                  ComputeType(g, pair, rank - 1, &registry))
+            << "cap=" << cap << " rank=" << rank << " u=" << u;
+        ASSERT_EQ(
+            composer.Truncate(ComputeLocalType(g, pair, rank, 1, &registry)),
+            ComputeLocalType(g, pair, rank - 1, 1, &registry))
+            << "cap=" << cap << " rank=" << rank << " u=" << u;
+      }
     }
   }
 }
@@ -221,12 +223,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Feferman–Vaught composition (TypeComposer): for a k-tuple v̄ and an
 // ℓ-tuple w̄ more than 2r + 1 apart, interleaved into one tuple by a random
 // layout, Compose(ltp(v̄), ltp(w̄), layout) is the directly computed
-// ltp(tuple), TypeId for TypeId.
+// ltp(tuple), TypeId for TypeId — for plain types (cap 1) and counting
+// types (caps 2 and 3, where the two sides' capped multiplicities add).
 struct ComposeParam {
   int rank;
   int colours;
   int k;
   int ell;
+  int cap;
 };
 
 class ComposeProperty : public ::testing::TestWithParam<ComposeParam> {};
@@ -246,7 +250,7 @@ TEST_P(ComposeProperty, ComposeEqualsDirectLocalTypeOnFarPairs) {
     Graph g = DisjointUnion(MakeFamilyGraph(family, 16, rng),
                             MakeRandomTree(6, rng));
     AddRandomColors(g, colours, 0.4, rng);
-    TypeRegistry registry(g.vocabulary());
+    TypeRegistry registry(g.vocabulary(), p.cap);
     TypeComposer composer(&registry);
     for (int radius : {0, 1}) {
       for (int trial = 0; trial < 40; ++trial) {
@@ -287,7 +291,7 @@ std::string ComposeName(const ::testing::TestParamInfo<ComposeParam>& info) {
   const ComposeParam& p = info.param;
   return "q" + std::to_string(p.rank) + "_colours" +
          std::to_string(p.colours) + "_k" + std::to_string(p.k) + "_ell" +
-         std::to_string(p.ell);
+         std::to_string(p.ell) + "_cap" + std::to_string(p.cap);
 }
 
 std::vector<ComposeParam> ComposeParams() {
@@ -295,7 +299,11 @@ std::vector<ComposeParam> ComposeParams() {
   for (int rank : {0, 1, 2}) {
     for (int colours : {1, 2}) {
       for (int k : {1, 2}) {
-        for (int ell : {1, 2}) params.push_back({rank, colours, k, ell});
+        for (int ell : {1, 2}) {
+          for (int cap : {1, 2, 3}) {
+            params.push_back({rank, colours, k, ell, cap});
+          }
+        }
       }
     }
   }
