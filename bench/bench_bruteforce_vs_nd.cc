@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
       }
 
       NdLearnerOptions options;
-      options.rank = 1;
-      options.radius = 1;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
       options.epsilon = 0.2;
       auto splitter = MakeGreedyDegreeSplitter();
       options.splitter = splitter.get();

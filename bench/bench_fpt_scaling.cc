@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
       Graph graph = family.make(n, rng);
       TrainingSet examples = DistanceOneWorkload(graph, rng);
       NdLearnerOptions options;
-      options.rank = 1;
-      options.radius = 1;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
       options.epsilon = 0.2;
       Stopwatch watch;
       NdLearnerResult result = LearnNowhereDense(graph, examples, options);

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     Table table({"branch cap", "train err", "candidates", "time ms"});
     for (int cap : {1, 2, 4, 8, 16}) {
       NdLearnerOptions options;
-      options.rank = 1;
-      options.radius = 1;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
       options.ell_star = 2;
       options.epsilon = 0.2;
       options.max_branches_per_step = cap;
@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     strategies.push_back(MakeGreedyDegreeSplitter());
     for (auto& strategy : strategies) {
       NdLearnerOptions options;
-      options.rank = 1;
-      options.radius = 1;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
       options.ell_star = 2;
       options.epsilon = 0.2;
       options.max_branches_per_step = 8;
@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
     Table table({"epsilon", "centre budget", "train err", "time ms"});
     for (double epsilon : {0.5, 0.25, 0.1, 0.05}) {
       NdLearnerOptions options;
-      options.rank = 1;
-      options.radius = 1;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
       options.ell_star = 2;
       options.epsilon = epsilon;
       options.max_branches_per_step = 8;

@@ -69,8 +69,8 @@ int main() {
   // The Theorem 13 learner finds the influencer through conflict analysis
   // and the splitter game instead of scanning all n parameters.
   NdLearnerOptions nd_options;
-  nd_options.rank = 1;
-  nd_options.radius = 1;
+  nd_options.erm.rank = 1;
+  nd_options.erm.radius = 1;
   nd_options.epsilon = 0.1;
   auto splitter = MakeGreedyDegreeSplitter();
   nd_options.splitter = splitter.get();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -47,19 +48,14 @@ bool ParseInt(std::string_view token, int* out) {
   *out = static_cast<int>(value);
   return true;
 }
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
 }  // namespace
 
-std::optional<Graph> FromText(std::string_view text, std::string* error) {
+StatusOr<Graph> ParseGraph(std::string_view text) {
   std::optional<Graph> graph;
   int line_number = 0;  // 1-based; prefixed to every parse error
-  auto fail = [&](const std::string& message) -> std::optional<Graph> {
-    Fail(error, "line " + std::to_string(line_number) + ": " + message);
-    return std::nullopt;
+  auto fail = [&](const std::string& message) -> Status {
+    return InvalidArgumentError("line " + std::to_string(line_number) + ": " +
+                                message);
   };
   for (const std::string& raw_line : Split(text, '\n')) {
     ++line_number;
@@ -112,19 +108,9 @@ std::optional<Graph> FromText(std::string_view text, std::string* error) {
       return fail("unknown keyword: " + keyword);
     }
   }
-  if (!graph.has_value()) {
-    Fail(error, "empty input");
-  } else {
-    // Loaders hand out finalized (CSR-packed) graphs.
-    graph->Finalize();
-  }
-  return graph;
-}
-
-StatusOr<Graph> ParseGraph(std::string_view text) {
-  std::string error;
-  std::optional<Graph> graph = FromText(text, &error);
-  if (!graph.has_value()) return InvalidArgumentError(error);
+  if (!graph.has_value()) return InvalidArgumentError("empty input");
+  // Loaders hand out finalized (CSR-packed) graphs.
+  graph->Finalize();
   return *std::move(graph);
 }
 

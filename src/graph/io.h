@@ -1,7 +1,6 @@
 #ifndef FOLEARN_GRAPH_IO_H_
 #define FOLEARN_GRAPH_IO_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -20,16 +19,10 @@ namespace folearn {
 // Deterministic (sorted) so it can be diffed in tests.
 std::string ToText(const Graph& graph);
 
-// Parses the format produced by ToText. Returns std::nullopt on malformed
-// input (and fills *error if non-null). Error messages are prefixed with
-// the offending 1-based line number ("line 3: ..."); the "empty input"
-// error has no line to point at and carries no prefix.
-std::optional<Graph> FromText(std::string_view text,
-                              std::string* error = nullptr);
-
-// Status-typed variants for callers that need recoverable errors (the CLI,
-// checkpoint loading): malformed text is kInvalidArgument with the FromText
-// diagnostic, never a crash.
+// Parses the format produced by ToText. Malformed input is
+// kInvalidArgument (the CLI, checkpoint loading), never a crash; the
+// message is prefixed with the offending 1-based line number ("line 3:
+// ..."), except "empty input", which has no line to point at.
 StatusOr<Graph> ParseGraph(std::string_view text);
 
 // Graphviz DOT rendering (undirected), colours emitted as vertex labels.

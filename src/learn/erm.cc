@@ -1,7 +1,6 @@
 #include "learn/erm.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -320,60 +319,12 @@ ErmResult BruteForceErm(const Graph& graph, const TrainingSet& examples,
       /*first_item_discount=*/0);
 }
 
-namespace {
-
-// Per-worker compiled-plan cache for the enumeration grid: each worker
-// compiles and lowers a candidate formula at most once and keeps the
-// VmEvaluator (with its per-graph memo) alive across all parameter tuples
-// and examples. With a byte budget (EvalOptions::cache_bytes ≥ 0) the
-// oldest self-compiled plans are dropped FIFO when the estimated footprint
-// exceeds it — they recompile on next use, so only speed, never results,
-// depends on the budget. Prepared (caller-owned) plans are never charged
-// or evicted; only their per-graph evaluators live here.
-struct EnumerationPlanCache {
-  std::vector<std::unique_ptr<CompiledFormula>> plans;
-  std::vector<std::shared_ptr<const LoweredPlan>> lowered;
-  std::vector<std::unique_ptr<VmEvaluator>> vms;
-  std::vector<Vertex> env;
-  std::deque<int64_t> compiled_order;  // oldest formula index at the front
-  int64_t bytes = 0;
-  int64_t evictions = 0;
-
-  static int64_t PlanBytes(const CompiledFormula& plan) {
-    // Nodes dominate; a flat allowance covers the evaluator's buffers.
-    return static_cast<int64_t>(plan.nodes().size()) * 64 + 512;
-  }
-
-  // Budget footprint of a self-compiled entry: the plan plus its bytecode.
-  int64_t EntryBytes(int64_t index) const {
-    return PlanBytes(*plans[index]) + lowered[index]->bytes();
-  }
-
-  void EnforceBudget(int64_t max_bytes) {
-    if (max_bytes < 0) return;
-    // The entry just compiled (at the back) always survives its own call.
-    while (bytes > max_bytes && compiled_order.size() > 1) {
-      const int64_t oldest = compiled_order.front();
-      compiled_order.pop_front();
-      bytes -= EntryBytes(oldest);
-      // The evaluator references the plan and bytecode: drop it first.
-      vms[oldest].reset();
-      lowered[oldest].reset();
-      plans[oldest].reset();
-      ++evictions;
-    }
-  }
-};
-
-// Shared implementation of the enumeration grid overloads. Exactly one of
-// `formulas` / `prepared` is populated; with `prepared` the compile/lower
-// step is skipped (plans are caller-owned).
-EnumerationErmResult EnumerationErmGrid(
-    const Graph& graph, const TrainingSet& examples, int ell,
-    std::span<const FormulaRef> formulas,
-    std::span<const PreparedFormula> prepared, ResourceGovernor* governor,
-    int threads, const EvalOptions& eval, const ScanHooks& hooks) {
-  const bool use_prepared = !prepared.empty();
+EnumerationErmResult EnumerationErm(const Graph& graph,
+                                    const TrainingSet& examples, int ell,
+                                    std::span<const PreparedFormula> formulas,
+                                    ResourceGovernor* governor, int threads,
+                                    const EvalOptions& eval,
+                                    const ScanHooks& hooks) {
   const int k = examples.empty() ? 0
                                  : static_cast<int>(examples[0].tuple.size());
   std::vector<std::string> query_vars = QueryVars(k);
@@ -383,20 +334,13 @@ EnumerationErmResult EnumerationErmGrid(
   EvalOptions candidate_eval = eval;
   candidate_eval.governor = nullptr;
   const bool interpreted = candidate_eval.engine == EvalEngine::kInterpreted;
-  const auto formula_at = [&](int64_t index) -> const FormulaRef& {
-    return use_prepared ? prepared[index].formula : formulas[index];
-  };
 
   // Flattened grid in scan order: index = tuple_index · |formulas| +
   // formula_index. One sequential checkpoint per grid item.
-  const int64_t num_formulas =
-      use_prepared ? static_cast<int64_t>(prepared.size())
-                   : static_cast<int64_t>(formulas.size());
+  const int64_t num_formulas = static_cast<int64_t>(formulas.size());
   const int64_t num_tuples = SaturatingPow(graph.order(), ell);
   const int64_t n_items =
       num_formulas == 0 ? 0 : SaturatingMul(num_tuples, num_formulas);
-  std::vector<std::string> all_vars = query_vars;
-  all_vars.insert(all_vars.end(), param_vars.begin(), param_vars.end());
   const int64_t m = static_cast<int64_t>(examples.size());
 
   ScanSpec spec;
@@ -410,7 +354,14 @@ EnumerationErmResult EnumerationErmGrid(
   spec.resume = hooks.resume;
   spec.learner = "enumeration";
   spec.fingerprint = hooks.fingerprint;
-  std::vector<EnumerationPlanCache> plan_caches(spec.threads);
+  // Per worker: one VM evaluator per candidate, bound to the graph on first
+  // use and kept (with its per-graph memo) for every later tuple and
+  // example, plus the x̄·ȳ frame it evaluates.
+  struct Worker {
+    std::vector<std::unique_ptr<VmEvaluator>> vms;
+    std::vector<Vertex> env;
+  };
+  std::vector<Worker> workers(spec.threads);
   // One dense adjacency index for the whole grid: every worker's
   // VmEvaluators share it read-only (per-evaluator auto-builds would
   // multiply its footprint by the candidate count).
@@ -419,52 +370,37 @@ EnumerationErmResult EnumerationErmGrid(
   ScanOutcome outcome = RunResumableScan(
       spec, [&](int64_t index, int worker) -> std::pair<double, bool> {
         const int64_t formula_index = index % num_formulas;
+        const PreparedFormula& candidate = formulas[formula_index];
         std::vector<int64_t> raw =
             NthTuple(graph.order(), ell, index / num_formulas);
         if (interpreted) {
           std::vector<Vertex> parameters(raw.begin(), raw.end());
-          Hypothesis candidate{formula_at(formula_index), query_vars,
-                               param_vars, parameters};
+          Hypothesis hypothesis{candidate.formula, query_vars, param_vars,
+                                parameters};
           double error =
-              TrainingError(graph, candidate, examples, candidate_eval);
+              TrainingError(graph, hypothesis, examples, candidate_eval);
           return {error, error == 0.0};
         }
-        EnumerationPlanCache& cache = plan_caches[worker];
-        if (cache.plans.empty()) {
-          cache.plans.resize(num_formulas);
-          cache.lowered.resize(num_formulas);
-          cache.vms.resize(num_formulas);
-          cache.env.resize(all_vars.size());
+        Worker& w = workers[worker];
+        if (w.vms.empty()) {
+          w.vms.resize(num_formulas);
+          w.env.resize(static_cast<size_t>(k) + ell);
         }
-        if (cache.vms[formula_index] == nullptr) {
-          const CompiledFormula* plan;
-          if (use_prepared) {
-            plan = prepared[formula_index].plan.get();
-            cache.lowered[formula_index] = prepared[formula_index].lowered;
-          } else {
-            cache.plans[formula_index] = std::make_unique<CompiledFormula>(
-                CompileFormula(formula_at(formula_index), all_vars));
-            plan = cache.plans[formula_index].get();
-            cache.lowered[formula_index] =
-                std::make_shared<const LoweredPlan>(LowerPlan(*plan));
-            cache.compiled_order.push_back(formula_index);
-            cache.bytes += cache.EntryBytes(formula_index);
-            cache.EnforceBudget(candidate_eval.cache_bytes);
-          }
-          cache.vms[formula_index] = std::make_unique<VmEvaluator>(
-              *plan, *cache.lowered[formula_index], graph, candidate_eval,
+        std::unique_ptr<VmEvaluator>& evaluator = w.vms[formula_index];
+        if (evaluator == nullptr) {
+          evaluator = std::make_unique<VmEvaluator>(
+              *candidate.plan, *candidate.lowered, graph, candidate_eval,
               vm_index);
         }
         for (int j = 0; j < ell; ++j) {
-          cache.env[k + j] = static_cast<Vertex>(raw[j]);
+          w.env[k + j] = static_cast<Vertex>(raw[j]);
         }
-        VmEvaluator& evaluator = *cache.vms[formula_index];
         int64_t wrong = 0;
         for (const LabeledExample& example : examples) {
           FOLEARN_CHECK_EQ(static_cast<int>(example.tuple.size()), k);
           std::copy(example.tuple.begin(), example.tuple.end(),
-                    cache.env.begin());
-          if (evaluator.Eval(cache.env) != example.label) ++wrong;
+                    w.env.begin());
+          if (evaluator->Eval(w.env) != example.label) ++wrong;
         }
         double error =
             m == 0 ? 0.0
@@ -474,22 +410,18 @@ EnumerationErmResult EnumerationErmGrid(
 
   EnumerationErmResult best;
   best.formulas_tried = outcome.tried;
-  for (const EnumerationPlanCache& cache : plan_caches) {
-    best.plan_cache_evictions += cache.evictions;
-  }
   if (outcome.winner >= 0) {
     std::vector<int64_t> raw =
         NthTuple(graph.order(), ell, outcome.winner / num_formulas);
     std::vector<Vertex> parameters(raw.begin(), raw.end());
-    best.hypothesis = Hypothesis{formula_at(outcome.winner % num_formulas),
-                                 query_vars, param_vars, parameters};
+    best.hypothesis =
+        Hypothesis{formulas[outcome.winner % num_formulas].formula,
+                   query_vars, param_vars, parameters};
     best.training_error = outcome.best_error;
   }
   best.status = GovernorStatus(governor);
   return best;
 }
-
-}  // namespace
 
 EnumerationErmResult EnumerationErm(const Graph& graph,
                                     const TrainingSet& examples, int ell,
@@ -504,33 +436,10 @@ EnumerationErmResult EnumerationErm(const Graph& graph,
   std::vector<std::string> param_vars = ParamVars(ell);
   full_options.free_variables.insert(full_options.free_variables.end(),
                                      param_vars.begin(), param_vars.end());
-  std::vector<FormulaRef> formulas = EnumerateFormulas(full_options);
-  return EnumerationErm(graph, examples, ell, formulas, governor, threads,
+  const std::vector<PreparedFormula> prepared =
+      PrepareFormulas(EnumerateFormulas(full_options), k, ell);
+  return EnumerationErm(graph, examples, ell, prepared, governor, threads,
                         eval, hooks);
-}
-
-EnumerationErmResult EnumerationErm(const Graph& graph,
-                                    const TrainingSet& examples, int ell,
-                                    std::span<const FormulaRef> formulas,
-                                    ResourceGovernor* governor, int threads,
-                                    const EvalOptions& eval,
-                                    const ScanHooks& hooks) {
-  return EnumerationErmGrid(graph, examples, ell, formulas, {}, governor,
-                            threads, eval, hooks);
-}
-
-EnumerationErmResult EnumerationErm(const Graph& graph,
-                                    const TrainingSet& examples, int ell,
-                                    std::span<const PreparedFormula> formulas,
-                                    ResourceGovernor* governor, int threads,
-                                    const EvalOptions& eval,
-                                    const ScanHooks& hooks) {
-  if (formulas.empty()) {
-    return EnumerationErmGrid(graph, examples, ell, {}, {}, governor,
-                              threads, eval, hooks);
-  }
-  return EnumerationErmGrid(graph, examples, ell, {}, formulas, governor,
-                            threads, eval, hooks);
 }
 
 std::vector<PreparedFormula> PrepareFormulas(

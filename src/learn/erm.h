@@ -29,15 +29,17 @@ namespace folearn {
 // (strictly larger) class. The learners below differ only in how they
 // search the *parameter* dimension.
 //
-// The class is fixed by the type registry's cap: a cap-T registry makes
-// TypeMajorityErm, TypeMajoritySweep and BruteForceErm ERM over FO+C with
-// counting thresholds ≤ T (the extension the paper's conclusion names,
-// following van Bergerem LICS 2019), since a counting query with fixed
-// parameters is a union of local counting types (types/type.h). That class
-// is strictly larger at equal rank: "deg(x) ≥ t" is a rank-1 cap-t concept
-// but needs rank t in plain FO. nullptr registries are plain (cap 1).
-// EnumerationErm takes no registry, and the sublinear and nowhere-dense
-// learners build their own cap-1 registries, so those stay plain FO.
+// Every type-majority learner takes the same contract: ErmOptions for the
+// class and the caller's context, plus the caller's type registry. The
+// class is fixed by the registry's cap: a cap-T registry makes
+// TypeMajorityErm, TypeMajoritySweep, BruteForceErm, SublinearErm and
+// LearnNowhereDense ERM over FO+C with counting thresholds ≤ T (the
+// extension the paper's conclusion names, following van Bergerem LICS
+// 2019), since a counting query with fixed parameters is a union of local
+// counting types (types/type.h). That class is strictly larger at equal
+// rank: "deg(x) ≥ t" is a rank-1 cap-t concept but needs rank t in plain
+// FO. nullptr registries are plain (cap 1). EnumerationErm searches an
+// explicit syntactic slice and takes no registry.
 
 struct ErmOptions {
   int rank = 1;     // q: quantifier-rank budget of the hypothesis class
@@ -75,7 +77,7 @@ struct ErmOptions {
   // candidate segments; with `scan.resume` it continues a saved scan and
   // produces the byte-identical result (model, error, governor ledger) of
   // the uninterrupted run. See learn/search_state.h.
-  ScanHooks scan;
+  ScanHooks scan = {};
 
   int EffectiveRadius() const {
     return radius >= 0 ? radius : GaifmanRadius(rank);
@@ -172,54 +174,10 @@ struct EnumerationErmResult {
   double training_error = 1.0;
   RunStatus status = RunStatus::kComplete;  // best-so-far when interrupted
   int64_t formulas_tried = 0;
-  // Compiled plans dropped from the per-worker caches to honour
-  // EvalOptions::cache_bytes. Thread- and timing-dependent telemetry (a
-  // worker's compilation order depends on chunk claiming), deliberately
-  // excluded from the byte-identity contract; everything else in this
-  // struct is deterministic.
-  int64_t plan_cache_evictions = 0;
 };
-// `threads` parallelises the tuple×formula grid exactly like
-// BruteForceErm's sweep (same determinism guarantees; 0 = hardware
-// concurrency).
-//
-// Candidate formulas are compiled and lowered once per worker and the VM
-// evaluators (plus their per-graph subformula memos) are reused across
-// every parameter tuple and training example — the headline win on the E9
-// grid. `eval` controls the per-candidate evaluation only
-// (EvalEngine::kInterpreted routes through the reference evaluator;
-// eval.governor is ignored — the grid-level `governor` parameter is the
-// budget, charged one unit per candidate in both modes).
-// `hooks` enables checkpoint/resume of the grid scan (learner tag
-// "enumeration"), with the same byte-identity guarantee as BruteForceErm.
-EnumerationErmResult EnumerationErm(const Graph& graph,
-                                    const TrainingSet& examples, int ell,
-                                    const EnumerationOptions& enumeration,
-                                    ResourceGovernor* governor = nullptr,
-                                    int threads = 1,
-                                    const EvalOptions& eval = {},
-                                    const ScanHooks& hooks = {});
-
-// Same grid search over an explicitly pre-enumerated candidate slice. The
-// formulas must use the canonical frame QueryVars(k) · ParamVars(ell)
-// (what the EnumerationOptions overload enumerates with) — anything else
-// CHECK-fails at compile/evaluation time as an unbound variable. Lets
-// callers amortise the (substantial) syntactic enumeration across
-// repeated runs, and lets bench_erm_core time the search itself.
-EnumerationErmResult EnumerationErm(const Graph& graph,
-                                    const TrainingSet& examples, int ell,
-                                    std::span<const FormulaRef> formulas,
-                                    ResourceGovernor* governor = nullptr,
-                                    int threads = 1,
-                                    const EvalOptions& eval = {},
-                                    const ScanHooks& hooks = {});
 
 // A candidate with its graph-independent compilation artifacts hoisted out
-// of the grid scan: the plan and its lowered bytecode. Produced by
-// PrepareFormulas; consumed by the overload below. Prepared plans are
-// caller-owned — the per-worker plan caches neither count them against
-// EvalOptions::cache_bytes nor evict them (per-graph evaluators are still
-// built, and evicted, per worker).
+// of the grid scan: the plan and its lowered bytecode.
 struct PreparedFormula {
   FormulaRef formula;
   std::shared_ptr<const CompiledFormula> plan;
@@ -233,12 +191,33 @@ struct PreparedFormula {
 std::vector<PreparedFormula> PrepareFormulas(
     std::span<const FormulaRef> formulas, int k, int ell);
 
-// Grid search over pre-compiled candidates: identical results to the
-// FormulaRef overload on the same formulas, minus the per-worker
-// compile/lower work (and minus its cache_bytes eviction telemetry).
+// The grid search over the tuple×formula grid. The formulas must be
+// prepared against the canonical frame QueryVars(k) · ParamVars(ell).
+// `threads` parallelises the grid exactly like BruteForceErm's sweep (same
+// determinism guarantees; 0 = hardware concurrency).
+//
+// Each worker binds a VM evaluator (plus its per-graph subformula memo) to
+// a prepared plan once and reuses it across every parameter tuple and
+// training example — the headline win on the E9 grid. `eval` controls the
+// per-candidate evaluation only (EvalEngine::kInterpreted routes through
+// the reference evaluator; eval.governor is ignored — the grid-level
+// `governor` parameter is the budget, charged one unit per candidate in
+// both modes). `hooks` enables checkpoint/resume of the grid scan (learner
+// tag "enumeration"), with the same byte-identity guarantee as
+// BruteForceErm.
 EnumerationErmResult EnumerationErm(const Graph& graph,
                                     const TrainingSet& examples, int ell,
                                     std::span<const PreparedFormula> formulas,
+                                    ResourceGovernor* governor = nullptr,
+                                    int threads = 1,
+                                    const EvalOptions& eval = {},
+                                    const ScanHooks& hooks = {});
+
+// Enumerates the slice over the canonical frame, prepares it and runs the
+// grid above.
+EnumerationErmResult EnumerationErm(const Graph& graph,
+                                    const TrainingSet& examples, int ell,
+                                    const EnumerationOptions& enumeration,
                                     ResourceGovernor* governor = nullptr,
                                     int threads = 1,
                                     const EvalOptions& eval = {},

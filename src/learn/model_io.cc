@@ -71,45 +71,42 @@ std::string TrainingSetToText(const TrainingSet& examples) {
   return out.str();
 }
 
-std::optional<TrainingSet> TrainingSetFromText(std::string_view text,
-                                               std::string* error) {
+StatusOr<TrainingSet> ParseTrainingSet(std::string_view text) {
   TrainingSet examples;
+  std::string error;
   int k = -1;
   const bool ok = ForEachLine(text, [&](std::string_view line) {
     std::vector<std::string_view> tokens = Tokens(line);
     if (tokens[0] == "examples") {
       if (k != -1 || tokens.size() != 2 || !ParseInt(tokens[1], &k)) {
-        return Fail(error,
+        return Fail(&error,
                     "malformed 'examples' header: " + std::string(line));
       }
       return true;
     }
     if (tokens[0] != "+" && tokens[0] != "-") {
-      return Fail(error, "example lines must start with '+' or '-': " +
-                             std::string(line));
+      return Fail(&error, "example lines must start with '+' or '-': " +
+                              std::string(line));
     }
-    if (k == -1) return Fail(error, "'examples <k>' header must come first");
+    if (k == -1) return Fail(&error, "'examples <k>' header must come first");
     if (static_cast<int>(tokens.size()) != k + 1) {
-      return Fail(error, "expected " + std::to_string(k) +
-                             " vertices: " + std::string(line));
+      return Fail(&error, "expected " + std::to_string(k) +
+                              " vertices: " + std::string(line));
     }
     LabeledExample example;
     example.label = tokens[0] == "+";
     for (int i = 1; i <= k; ++i) {
       int v = 0;
       if (!ParseInt(tokens[i], &v)) {
-        return Fail(error, "bad vertex: " + std::string(tokens[i]));
+        return Fail(&error, "bad vertex: " + std::string(tokens[i]));
       }
       example.tuple.push_back(v);
     }
     examples.push_back(std::move(example));
     return true;
   });
-  if (!ok) return std::nullopt;
-  if (k == -1) {
-    Fail(error, "missing 'examples <k>' header");
-    return std::nullopt;
-  }
+  if (!ok) return InvalidArgumentError(error);
+  if (k == -1) return InvalidArgumentError("missing 'examples <k>' header");
   return examples;
 }
 
@@ -205,16 +202,6 @@ StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header) {
   return *std::move(formula);
 }
 
-std::optional<Hypothesis> HypothesisFromText(std::string_view text,
-                                             std::string* error) {
-  StatusOr<Hypothesis> parsed = ParseHypothesis(text);
-  if (!parsed.ok()) {
-    Fail(error, parsed.status().message());
-    return std::nullopt;
-  }
-  return *std::move(parsed);
-}
-
 namespace {
 
 // Shared shape of the Status-typed wrappers below: parse failures are
@@ -228,13 +215,6 @@ StatusOr<T> PrefixPath(StatusOr<T> parsed, const std::string& path) {
 }
 
 }  // namespace
-
-StatusOr<TrainingSet> ParseTrainingSet(std::string_view text) {
-  std::string error;
-  std::optional<TrainingSet> parsed = TrainingSetFromText(text, &error);
-  if (!parsed.has_value()) return InvalidArgumentError(error);
-  return *std::move(parsed);
-}
 
 StatusOr<TrainingSet> LoadTrainingSetFile(const std::string& path) {
   StatusOr<std::string> text = ReadFileToString(path);

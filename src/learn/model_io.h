@@ -1,7 +1,6 @@
 #ifndef FOLEARN_LEARN_MODEL_IO_H_
 #define FOLEARN_LEARN_MODEL_IO_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +21,6 @@ namespace folearn {
 //   + v1 v2 … vk        # one line per example, '+' positive / '-' negative
 //   - v1 v2 … vk
 std::string TrainingSetToText(const TrainingSet& examples);
-std::optional<TrainingSet> TrainingSetFromText(std::string_view text,
-                                               std::string* error = nullptr);
 
 // Hypothesis format (the explicit h_{φ,w̄} form):
 //
@@ -34,8 +31,6 @@ std::optional<TrainingSet> TrainingSetFromText(std::string_view text,
 // Round-trips through the formula parser; the query/parameter variables are
 // the canonical x1…xk / y1…yℓ.
 std::string HypothesisToText(const Hypothesis& hypothesis);
-std::optional<Hypothesis> HypothesisFromText(std::string_view text,
-                                             std::string* error = nullptr);
 
 // A hypothesis text split into its lines, with the formula left unparsed:
 // enough to validate a model against a graph and a training set, and to key
@@ -58,18 +53,18 @@ struct HypothesisHeader {
 // unbounded k would let a one-line model text allocate without limit.
 inline constexpr int kMaxHypothesisVars = 1024;
 
-// The one hypothesis-text reader: every header error HypothesisFromText
+// The one hypothesis-text reader: every header error ParseHypothesis
 // reports comes from here (kInvalidArgument). A text with two `formula`
 // lines, or with k + ℓ above kMaxHypothesisVars, is rejected.
 StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text);
 
 // Parses header.formula and checks that its free variables lie in
-// header.AllVars(). HypothesisFromText is SplitHypothesisText followed by
+// header.AllVars(). ParseHypothesis is SplitHypothesisText followed by
 // this call.
 StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header);
 
-// Status-typed variants (recoverable errors for the CLI and other loaders):
-// malformed text is kInvalidArgument with the parser diagnostic; the file
+// The readers of both formats: malformed text is kInvalidArgument with the
+// parser diagnostic; the file
 // loaders report a missing/unreadable path as kNotFound and prefix parse
 // diagnostics with the path. Truncated or bit-flipped inputs come back as
 // errors, never aborts (tests/corrupt_input_test.cc).

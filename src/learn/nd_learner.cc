@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "graph/algorithms.h"
 #include "nd/covering.h"
@@ -14,7 +15,7 @@
 namespace folearn {
 
 int NdLearnerOptions::GameRadius(int k) const {
-  int r = EffectiveRadius();
+  int r = erm.EffectiveRadius();
   int64_t base = static_cast<int64_t>(k + 2) * (2 * r + 1);
   int64_t radius = base;
   for (int i = 1; i < ell_star; ++i) radius *= 3;
@@ -41,9 +42,9 @@ struct ConflictInfo {
 };
 
 ConflictInfo AnalyzeConflicts(const Level& level, int rank, int radius,
-                              ResourceGovernor* governor) {
+                              int cap, ResourceGovernor* governor) {
   ConflictInfo info;
-  TypeRegistry registry(level.graph.vocabulary());
+  TypeRegistry registry(level.graph.vocabulary(), cap);
   info.example_types.reserve(level.examples.size());
   std::map<TypeId, std::pair<int64_t, int64_t>> counts;
   for (const LabeledExample& example : level.examples) {
@@ -128,8 +129,8 @@ std::optional<Level> ContractLevel(const Level& level,
                                    const std::vector<Vertex>& z_set,
                                    int r_prime,
                                    const std::vector<Vertex>& splitter_moves,
-                                   int k, int rank, int radius, int step,
-                                   ResourceGovernor* governor) {
+                                   int k, int rank, int radius, int cap,
+                                   int step, ResourceGovernor* governor) {
   const Graph& g = level.graph;
   const int keep_radius = 6 * radius + 3;        // N_{6r+3}(Y)
   const int comp_radius = 2 * radius + 1;        // H_v̄ edge threshold
@@ -196,7 +197,7 @@ std::optional<Level> ContractLevel(const Level& level,
 
   // Project the examples. Only critical examples touching N_{6r+3}(Y)
   // survive; far components collapse to shared t_{I,θ} vertices.
-  TypeRegistry registry(g.vocabulary());
+  TypeRegistry registry(g.vocabulary(), cap);
   std::map<ComponentKey, Vertex> type_vertices;
   int type_vertex_counter = 0;
   for (const LabeledExample& example : level.examples) {
@@ -283,11 +284,12 @@ std::optional<Level> ContractLevel(const Level& level,
 
 class CandidateCollector {
  public:
-  CandidateCollector(const NdLearnerOptions& options, int k,
+  CandidateCollector(const NdLearnerOptions& options, int k, int cap,
                      SplitterStrategy* splitter, int rounds,
                      NdLearnerResult* result)
       : options_(options),
         k_(k),
+        cap_(cap),
         splitter_(splitter),
         rounds_(rounds),
         result_(result) {}
@@ -300,10 +302,10 @@ class CandidateCollector {
     if (step >= rounds_) return;
     if (Full()) return;
 
-    const int radius = options_.EffectiveRadius();
-    ConflictInfo conflicts =
-        AnalyzeConflicts(level, options_.rank, radius, options_.governor);
-    if (GovernorInterrupted(options_.governor)) return;
+    const int radius = options_.erm.EffectiveRadius();
+    ConflictInfo conflicts = AnalyzeConflicts(level, options_.erm.rank, radius,
+                                              cap_, options_.erm.governor);
+    if (GovernorInterrupted(options_.erm.governor)) return;
     NdStepStats stats;
     stats.step = step;
     stats.graph_order = level.graph.order();
@@ -325,9 +327,9 @@ class CandidateCollector {
                                          options_.epsilon)));
     std::vector<Vertex> x_set =
         SelectCenters(level, conflicts.critical_indices, radius, max_centers,
-                      options_.governor);
+                      options_.erm.governor);
     result_->steps[stats_index].x_size = static_cast<int>(x_set.size());
-    if (x_set.empty() || GovernorInterrupted(options_.governor)) return;
+    if (x_set.empty() || GovernorInterrupted(options_.erm.governor)) return;
 
     // Unroll the nondeterministic guess Y ⊆ X, |Y| ≤ ℓ*. X is sorted by
     // impact, so lexicographically early subsets carry the most attended
@@ -346,7 +348,7 @@ class CandidateCollector {
     int branches = 0;
     for (const std::vector<int64_t>& subset : subsets) {
       if (Full()) break;
-      if (!GovernorCheckpoint(options_.governor)) break;
+      if (!GovernorCheckpoint(options_.erm.governor)) break;
       ++branches;
       std::vector<Vertex> y_set;
       for (int64_t index : subset) y_set.push_back(x_set[index]);
@@ -368,7 +370,7 @@ class CandidateCollector {
   void ExploreBranch(const Level& level, int step,
                      const std::vector<Vertex>& prefix,
                      const std::vector<Vertex>& y_set) {
-    const int radius = options_.EffectiveRadius();
+    const int radius = options_.erm.EffectiveRadius();
     // Lemma 3 covering at radius (k+2)(2r+1).
     CoveringResult covering = GreedyBallCovering(
         level.graph, y_set, (k_ + 2) * (2 * radius + 1));
@@ -383,7 +385,8 @@ class CandidateCollector {
     }
     std::optional<Level> next =
         ContractLevel(level, y_set, covering.centers, covering.radius, moves,
-                      k_, options_.rank, radius, step, options_.governor);
+                      k_, options_.erm.rank, radius, cap_, step,
+                      options_.erm.governor);
     if (!next.has_value()) {
       AddCandidate(prefix_extension);
       return;
@@ -398,6 +401,7 @@ class CandidateCollector {
 
   const NdLearnerOptions& options_;
   int k_;
+  int cap_;
   SplitterStrategy* splitter_;
   int rounds_;
   NdLearnerResult* result_;
@@ -409,17 +413,18 @@ class CandidateCollector {
 
 NdLearnerResult LearnNowhereDense(const Graph& graph,
                                   const TrainingSet& examples,
-                                  const NdLearnerOptions& options) {
+                                  const NdLearnerOptions& options,
+                                  std::shared_ptr<TypeRegistry> registry) {
   FOLEARN_CHECK_GE(options.ell_star, 1);
   FOLEARN_CHECK_GT(options.epsilon, 0.0);
   NdLearnerResult result;
-  const int final_radius = options.final_radius >= 0
-                               ? options.final_radius
-                               : 2 * options.EffectiveRadius() + 1;
-  ErmOptions erm_options{options.rank, final_radius, options.governor};
+  ErmOptions final_options = options.erm;
+  final_options.radius = options.final_radius >= 0
+                             ? options.final_radius
+                             : 2 * options.erm.EffectiveRadius() + 1;
   if (examples.empty()) {
     // Nothing to fit: the parameter-free hypothesis, which rejects all.
-    result.erm = TypeMajorityErm(graph, examples, {}, erm_options);
+    result.erm = TypeMajorityErm(graph, examples, {}, final_options, registry);
     return result;
   }
   const int k = static_cast<int>(examples[0].tuple.size());
@@ -443,25 +448,26 @@ NdLearnerResult LearnNowhereDense(const Graph& graph,
   // deterministic pure function of the inputs — replay it ungoverned. Its
   // original charge is part of the restored ledger, which the final sweep
   // primes below; charging the replay too would double-count it.
-  const bool resuming = options.scan.resume != nullptr;
   NdLearnerOptions collect_options = options;
-  if (resuming) collect_options.governor = nullptr;
+  if (options.erm.scan.resume != nullptr) {
+    collect_options.erm.governor = nullptr;
+  }
 
-  CandidateCollector collector(collect_options, k, splitter, rounds, &result);
+  const int cap = registry == nullptr ? 1 : registry->cap();
+  CandidateCollector collector(collect_options, k, cap, splitter, rounds,
+                               &result);
   collector.Collect(root, 0, {});
 
   // Final phase: evaluate every candidate parameter tuple by type-majority
   // ERM on the original graph through the shared sweep and keep the best.
   // Candidate 0 (the empty prefix) has no leading outer checkpoint — it
   // runs even under a tripped governor — hence the first-item discount.
-  erm_options.threads = options.threads;
-  erm_options.cache_bytes = options.cache_bytes;
-  erm_options.scan = options.scan;
   const std::vector<std::vector<Vertex>>& candidates = collector.candidates();
   result.erm = TypeMajoritySweep(
       graph, examples, static_cast<int64_t>(candidates.size()),
-      [&](int64_t index) { return candidates[index]; }, erm_options, nullptr,
-      "nd", /*early_stop=*/true, /*first_item_discount=*/1);
+      [&](int64_t index) { return candidates[index]; }, final_options,
+      std::move(registry), "nd", /*early_stop=*/true,
+      /*first_item_discount=*/1);
   result.parameters = result.erm.hypothesis.parameters;
   result.candidates_evaluated = result.erm.parameter_tuples_tried;
   result.status = result.erm.status;

@@ -1,6 +1,7 @@
 #ifndef FOLEARN_LEARN_ND_LEARNER_H_
 #define FOLEARN_LEARN_ND_LEARNER_H_
 
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -44,40 +45,28 @@ namespace folearn {
 // vertices; heuristic Splitter strategies with a round budget s;
 // branch/candidate caps for the nondeterministic Y guess.
 struct NdLearnerOptions {
+  // The hypothesis class and the caller's context, as for every other
+  // learner: erm.rank is q*, erm.radius is r (−1 ⇒ GaifmanRadius(q*)).
+  // erm.governor is shared by the candidate-collection recursion and the
+  // final ERM phase (work unit: one local-type computation / branch
+  // exploration; on interruption the best candidate evaluated so far is
+  // returned). erm.threads, ball_cache, cache_bytes and mem_budget reach
+  // the final phase only: the collection recursion stays single-threaded
+  // (its steps are sequentially dependent). erm.scan checkpoints the final
+  // candidate-evaluation scan (learner tag "nd"); checkpoints are only
+  // written during the final phase, so a resumable state implies
+  // collection completed in the original process, and the resumed run
+  // replays the (deterministic) collection ungoverned — its charge is
+  // already part of the restored governor ledger — and continues the scan.
+  ErmOptions erm;
   int ell_star = 1;   // ℓ*: parameters per step
-  int rank = 1;       // q*: quantifier-rank budget
   double epsilon = 0.25;
-  int radius = -1;    // r; −1 ⇒ GaifmanRadius(rank)
   int splitter_rounds = -1;  // s; −1 ⇒ DefaultSplitterRounds(R)
   SplitterStrategy* splitter = nullptr;  // default: tree splitter
   int max_branches_per_step = 16;   // cap on Y-guess unrolling
   int max_total_candidates = 256;   // cap on collected parameter tuples
   int final_radius = -1;  // radius of the final type ERM; −1 ⇒ 2r+1
-  // Optional resource governor (nullptr = ungoverned), shared by the
-  // candidate-collection recursion and the final ERM phase. Work unit: one
-  // local-type computation / branch exploration. On interruption the best
-  // candidate evaluated so far is returned (anytime semantics).
-  ResourceGovernor* governor = nullptr;
-  // Worker threads for the final candidate-evaluation phase (0 = hardware
-  // concurrency). Deterministic: the returned hypothesis, error, and
-  // diagnostics are identical for any value — see TypeMajoritySweep for
-  // the mechanism. The collection recursion itself stays single-threaded
-  // (its steps are sequentially dependent).
-  int threads = 1;
-  // Byte budget for the final phase's per-worker ball caches
-  // (BallCache::kNoBudget = unbounded); results are budget-independent.
-  int64_t cache_bytes = BallCache::kNoBudget;
-  // Checkpoint/resume hooks for the final candidate-evaluation scan
-  // (learner tag "nd"). Checkpoints are only written during the final
-  // phase, so a resumable state implies candidate collection completed in
-  // the original process; the resumed run replays the (deterministic)
-  // collection ungoverned — its charge is already part of the restored
-  // governor ledger — and continues the scan. See learn/search_state.h.
-  ScanHooks scan;
 
-  int EffectiveRadius() const {
-    return radius >= 0 ? radius : GaifmanRadius(rank);
-  }
   // R = 3^{ℓ*−1} · (k+2)(2r+1): the splitter-game radius (paper §5).
   int GameRadius(int k) const;
   int EffectiveRounds(int k) const {
@@ -109,9 +98,14 @@ struct NdLearnerResult {
   std::vector<Vertex> parameters;
 };
 
-NdLearnerResult LearnNowhereDense(const Graph& graph,
-                                  const TrainingSet& examples,
-                                  const NdLearnerOptions& options);
+// `registry` fixes the class, as for BruteForceErm: the final sweep
+// interns the winner into it (nullptr = a fresh plain one), and the
+// collection's conflict analysis and contraction use its cap, so a cap-T
+// registry makes the learner ERM over FO+C.
+NdLearnerResult LearnNowhereDense(
+    const Graph& graph, const TrainingSet& examples,
+    const NdLearnerOptions& options,
+    std::shared_ptr<TypeRegistry> registry = nullptr);
 
 }  // namespace folearn
 

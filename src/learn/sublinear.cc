@@ -13,10 +13,10 @@ namespace folearn {
 
 SublinearErmResult SublinearErm(const Graph& graph,
                                 const TrainingSet& examples, int ell,
-                                const ErmOptions& options) {
+                                const ErmOptions& options,
+                                std::shared_ptr<TypeRegistry> registry) {
   FOLEARN_CHECK_GE(ell, 0);
   SublinearErmResult result;
-  auto registry = std::make_shared<TypeRegistry>(graph.vocabulary());
   if (examples.empty() || ell == 0) {
     result.erm = TypeMajorityErm(graph, examples, {}, options, registry);
     return result;
@@ -63,7 +63,7 @@ SublinearErmResult SublinearErm(const Graph& graph,
         }
         return parameters;
       },
-      options, registry, "sublinear", /*early_stop=*/true,
+      options, std::move(registry), "sublinear", /*early_stop=*/true,
       /*first_item_discount=*/0);
   return result;
 }

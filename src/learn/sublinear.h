@@ -45,9 +45,12 @@ struct SublinearErmResult {
 // so it shares BruteForceErm's far-pair composition, thread-count
 // determinism, governor accounting and checkpoint/resume; a run cut
 // before any candidate completes returns candidate 0's partial vote.
-SublinearErmResult SublinearErm(const Graph& graph,
-                                const TrainingSet& examples, int ell,
-                                const ErmOptions& options);
+// `registry` fixes the class as for BruteForceErm (nullptr = a fresh plain
+// one; a cap-T registry makes this ERM over FO+C).
+SublinearErmResult SublinearErm(
+    const Graph& graph, const TrainingSet& examples, int ell,
+    const ErmOptions& options,
+    std::shared_ptr<TypeRegistry> registry = nullptr);
 
 // --- Preprocessing + O(m) queries (k = 1) --------------------------------------
 

@@ -143,12 +143,11 @@ struct EvalOptions {
   // evaluation unwinds immediately; the returned bool is then unspecified —
   // check `stats->status` or the governor itself.
   ResourceGovernor* governor = nullptr;
-  // Byte budget for the evaluation-side memo tables (the VM's
-  // colour-member lists and the enumeration-ERM plan caches);
-  // −1 = unbounded. Memos over budget are recomputed on demand instead of
-  // retained, with deterministic (insertion-order) eviction; results are
-  // identical with any budget. Evictions are reported via
-  // EvalStats::cache_evictions.
+  // Byte budget for the VM's colour-member lists (and the plan walker's,
+  // when the VM falls back to it); −1 = unbounded. Lists over budget are
+  // recomputed on demand instead of retained, with deterministic
+  // (insertion-order) eviction; results are identical with any budget.
+  // Evictions are reported via EvalStats::cache_evictions.
   int64_t cache_bytes = -1;
 };
 

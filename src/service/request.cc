@@ -180,18 +180,15 @@ ErmResult RunLearn(const Graph& graph, const TrainingSet& examples,
                          std::move(registry));
   }
   if (request.learner == "sublinear") {
-    return SublinearErm(graph, examples, request.ell, context).erm;
+    return SublinearErm(graph, examples, request.ell, context,
+                        std::move(registry))
+        .erm;
   }
   NdLearnerOptions nd;
-  nd.rank = context.rank;
-  nd.radius = context.radius;
+  nd.erm = context;
   nd.ell_star = std::max(request.ell, 1);
   nd.epsilon = request.epsilon;
-  nd.governor = context.governor;
-  nd.threads = context.threads;
-  nd.cache_bytes = context.cache_bytes;
-  nd.scan = context.scan;
-  return LearnNowhereDense(graph, examples, nd).erm;
+  return LearnNowhereDense(graph, examples, nd, std::move(registry)).erm;
 }
 
 StatusOr<FormulaRef> ParseSentence(std::string_view text) {

@@ -60,9 +60,9 @@ Status CheckLearnRequest(const LearnRequest& request);
 // and whose examples passed CheckExampleVertices. The hypothesis class
 // (rank, radius, threads) comes from `request`; everything else — the
 // governor, ball cache, per-worker cache budget, memory account and scan
-// hooks — is the caller's `context`. `registry` is the brute learner's
-// type registry (nullptr = a fresh one); the other learners intern into
-// their own.
+// hooks — is the caller's `context`. Every learner interns the winning
+// hypothesis into `registry` (nullptr = a fresh plain one), whose cap
+// fixes the class: cap T > 1 is FO+C with thresholds ≤ T.
 ErmResult RunLearn(const Graph& graph, const TrainingSet& examples,
                    const LearnRequest& request, ErmOptions context,
                    std::shared_ptr<TypeRegistry> registry = nullptr);

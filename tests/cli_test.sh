@@ -46,6 +46,24 @@ grep -q 'training error: 0.0000' "$DIR/sub.log"
 "$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
     --model "$DIR/m.txt" | grep -q 'error: 0.0000'
 
+# 4b. --cache-bytes bounds the VM's colour-member lists; it may cost time,
+#     never output: a zero budget prints what no budget prints, on the
+#     learned model and on a colour-guarded one, ungoverned and under a
+#     (generous) work budget.
+printf 'hypothesis k 1 ell 0\nformula exists y. (Red(y) & (E(x1, y) | x1 = y))\n' \
+    > "$DIR/guarded.txt"
+for model in m.txt guarded.txt; do
+  for limit in "" "--max-work 1000000"; do
+    # shellcheck disable=SC2086  # $limit is deliberately word-split
+    plain=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+        --model "$DIR/$model" $limit)
+    # shellcheck disable=SC2086
+    budgeted=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+        --model "$DIR/$model" --cache-bytes 0 $limit)
+    [ "$plain" = "$budgeted" ]
+  done
+done
+
 # 5. Model checking, direct and via the learning-oracle reduction, must
 #    agree (both say "true": some red vertex exists).
 direct=$("$CLI" mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" || true)

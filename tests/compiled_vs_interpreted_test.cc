@@ -457,6 +457,50 @@ TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
   EXPECT_EQ(interpreted_stats.exec_ms, 0.0);
 }
 
+// EvalOptions::cache_bytes bounds the VM's colour-member lists: with a
+// zero budget every list built during a call is dropped before the next,
+// and is rebuilt on demand. The budget may cost time, never results:
+// against an unbounded evaluator the verdicts (both lanes) and the EvalStats
+// work counters are identical, and only cache_evictions differs.
+TEST(CompiledVsInterpreted, VmColourMemberBudgetKeepsVerdictsAndStats) {
+  Rng rng(29);
+  Graph graph = MakeErdosRenyi(12, 0.3, rng);
+  AddRandomColors(graph, {"Red", "Blue"}, 0.5, rng);
+  const std::vector<std::string> vars = {"x"};
+  EvalOptions zero_budget = Vm();
+  zero_budget.cache_bytes = 0;
+  for (const char* text :
+       {"exists y. (Blue(y) & (E(x, y) | Red(y)))",
+        "forall y. (!Red(y) | exists z. (Blue(z) & !E(y, z)))",
+        "exists y. (Red(y) & exists z. (Blue(z) & E(y, z) & !E(x, z)))"}) {
+    SCOPED_TRACE(text);
+    const FormulaRef formula = MustParseFormula(text);
+    const CompiledFormula plan = CompileFormula(formula, vars);
+    const LoweredPlan lowered = LowerPlan(plan);
+    VmEvaluator unbounded(plan, lowered, graph, Vm());
+    VmEvaluator budgeted(plan, lowered, graph, zero_budget);
+    EvalStats unbounded_stats;
+    EvalStats budgeted_stats;
+    for (Vertex v = 0; v < graph.order(); ++v) {
+      const std::vector<Vertex> tuple = {v};
+      const bool expected =
+          EvaluateQuery(graph, formula, vars, tuple, Interpreted());
+      EXPECT_EQ(unbounded.Eval(tuple, &unbounded_stats), expected) << v;
+      EXPECT_EQ(budgeted.Eval(tuple, &budgeted_stats), expected) << v;
+      EXPECT_EQ(budgeted.Eval(tuple), expected) << v << " (fast lane)";
+    }
+    EXPECT_EQ(budgeted_stats.atom_evaluations,
+              unbounded_stats.atom_evaluations);
+    EXPECT_EQ(budgeted_stats.quantifier_branches,
+              unbounded_stats.quantifier_branches);
+    EXPECT_EQ(budgeted_stats.vm_op_dispatches,
+              unbounded_stats.vm_op_dispatches);
+    EXPECT_EQ(budgeted_stats.status, unbounded_stats.status);
+    EXPECT_EQ(unbounded_stats.cache_evictions, 0);
+    EXPECT_GT(budgeted_stats.cache_evictions, 0);
+  }
+}
+
 TEST(CompiledVsInterpreted, VmLowersSuperinstructionsForGuardedShapes) {
   const std::vector<std::string> vars = {"x"};
   // Neighbour scan with a foldable body, colour-class scan, equality
@@ -527,43 +571,6 @@ TEST(CompiledVsInterpreted, VmFallsBackOnUnresolvedGuardColour) {
     }
     ExpectCutPointParity(graph, formula, vars, {0},
                          /*missing_color_is_false=*/true);
-  }
-}
-
-// PrepareFormulas + the prepared-span EnumerationErm overload must give
-// the byte-identical result of the FormulaRef overload on both engines.
-TEST(CompiledVsInterpreted, PreparedFormulasMatchUnpreparedGrid) {
-  Rng rng(77);
-  Graph graph = MakeRandomTree(10, rng);
-  AddRandomColors(graph, {"Red"}, 0.4, rng);
-  std::vector<std::vector<Vertex>> tuples =
-      SampleTuples(graph.order(), 1, graph.order(), rng);
-  TrainingSet examples = LabelByQuery(
-      graph, MustParseFormula("exists z. E(x1, z)"), QueryVars(1), tuples);
-  FlipLabels(examples, 0.3, rng);
-  EnumerationOptions enumeration;
-  enumeration.colors = {"Red"};
-  enumeration.max_quantifier_rank = 1;
-  enumeration.max_boolean_depth = 1;
-  enumeration.max_count = 150;
-  std::vector<FormulaRef> formulas = EnumerateFormulas(enumeration);
-  ASSERT_GT(formulas.size(), 20u);
-  std::vector<PreparedFormula> prepared =
-      PrepareFormulas(formulas, /*k=*/1, /*ell=*/0);
-  for (EvalEngine engine : {EvalEngine::kVm, EvalEngine::kInterpreted}) {
-    EvalOptions eval = WithEngine(engine);
-    EnumerationErmResult plain = EnumerationErm(
-        graph, examples, 0, std::span<const FormulaRef>(formulas), nullptr,
-        /*threads=*/2, eval);
-    EnumerationErmResult from_prepared = EnumerationErm(
-        graph, examples, 0, std::span<const PreparedFormula>(prepared),
-        nullptr, /*threads=*/2, eval);
-    const std::string label = EvalEngineName(engine);
-    EXPECT_EQ(from_prepared.training_error, plain.training_error) << label;
-    EXPECT_EQ(from_prepared.formulas_tried, plain.formulas_tried) << label;
-    EXPECT_EQ(HypothesisToText(from_prepared.hypothesis),
-              HypothesisToText(plain.hypothesis))
-        << label;
   }
 }
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "fo/parser.h"
 #include "fo/printer.h"
@@ -13,7 +15,10 @@
 #include "graph/generators.h"
 #include "learn/erm.h"
 #include "learn/model_io.h"
+#include "learn/nd_learner.h"
+#include "learn/sublinear.h"
 #include "mc/evaluator.h"
+#include "service/request.h"
 #include "types/hintikka.h"
 #include "types/type.h"
 #include "util/checkpoint.h"
@@ -452,6 +457,84 @@ TEST(CountingSweep, GovernedCutReturnsMaterialisableHypothesis) {
       if (threads == 1) first_text = text;
       EXPECT_EQ(text, first_text);
     }
+  }
+}
+
+// --- FO+C through every learner -----------------------------------------------
+
+// deg(x) ≥ 2 on every vertex of a random tree: a rank-1 cap-2 concept
+// that plain rank-1 FO cannot always express.
+TrainingSet DegreeAtLeastTwo(const Graph& g) {
+  TrainingSet examples;
+  for (Vertex v = 0; v < g.order(); ++v) {
+    examples.push_back({{v}, g.Degree(v) >= 2});
+  }
+  return examples;
+}
+
+// SublinearErm and LearnNowhereDense fix the class by the caller's
+// registry, as BruteForceErm does: on a cap-2 registry both learn
+// deg(x) ≥ 2 at rank 1 exactly, never worse than on a cap-1 registry, and
+// intern the winner into that registry with model bytes independent of
+// the thread count.
+TEST(CountingLearners, SublinearAndNdLearnDegreeTwoAtCapTwo) {
+  Rng rng(75);
+  Graph g = MakeRandomTree(30, rng);
+  const TrainingSet examples = DegreeAtLeastTwo(g);
+  using Learner =
+      std::function<ErmResult(int, std::shared_ptr<TypeRegistry>)>;
+  const std::pair<const char*, Learner> learners[] = {
+      {"sublinear",
+       [&](int threads, std::shared_ptr<TypeRegistry> registry) {
+         return SublinearErm(g, examples, 1, RankOne(threads),
+                             std::move(registry))
+             .erm;
+       }},
+      {"nd",
+       [&](int threads, std::shared_ptr<TypeRegistry> registry) {
+         NdLearnerOptions options;
+         options.erm = RankOne(threads);
+         return LearnNowhereDense(g, examples, options, std::move(registry))
+             .erm;
+       }},
+  };
+  for (const auto& [name, learn] : learners) {
+    SCOPED_TRACE(name);
+    const ErmResult plain = learn(1, CapRegistry(g, 1));
+    std::string first_text;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::shared_ptr<TypeRegistry> registry = CapRegistry(g, 2);
+      const ErmResult counting = learn(threads, registry);
+      EXPECT_EQ(counting.status, RunStatus::kComplete);
+      EXPECT_EQ(counting.training_error, 0.0);
+      EXPECT_LE(counting.training_error, plain.training_error);
+      EXPECT_EQ(counting.hypothesis.registry, registry);
+      const std::string text =
+          HypothesisToText(counting.hypothesis.ToExplicit());
+      if (threads == 1) first_text = text;
+      EXPECT_EQ(text, first_text);
+    }
+  }
+}
+
+// The request core hands the caller's registry (a folearnd session's) to
+// every learner, so FO+C reaches brute, sublinear and nd alike.
+TEST(CountingLearners, RunLearnInternsIntoTheCallersRegistry) {
+  Rng rng(75);
+  Graph g = MakeRandomTree(30, rng);
+  const TrainingSet examples = DegreeAtLeastTwo(g);
+  for (const char* learner : {"brute", "sublinear", "nd"}) {
+    SCOPED_TRACE(learner);
+    LearnRequest request;
+    request.learner = learner;
+    request.rank = 1;
+    request.radius = 1;
+    request.ell = 1;
+    std::shared_ptr<TypeRegistry> registry = CapRegistry(g, 2);
+    const ErmResult result = RunLearn(g, examples, request, {}, registry);
+    EXPECT_EQ(result.hypothesis.registry, registry);
+    EXPECT_EQ(result.training_error, 0.0);
   }
 }
 

@@ -180,7 +180,7 @@ TEST(GovernedErm, EveryInjectedTripYieldsSerialisableHypothesis) {
     EXPECT_LE(result.training_error, 1.0);
     // The degraded model must survive the save/load round trip.
     std::string text = ModelText(result);
-    EXPECT_TRUE(HypothesisFromText(text).has_value()) << text;
+    EXPECT_TRUE(ParseHypothesis(text).ok()) << text;
   }
   EXPECT_GT(interrupted_runs, 0);
 }
@@ -250,7 +250,7 @@ TEST(GovernedNdLearner, GenerousBudgetMatchesUngoverned) {
   AddRandomColors(g, {"Red"}, 0.4, rng);
   TrainingSet examples = LabelAll(g, "exists z. (E(x1, z) & Red(z))", 1);
   NdLearnerOptions base;
-  base.rank = 1;
+  base.erm.rank = 1;
   base.ell_star = 1;
   NdLearnerResult ungoverned = LearnNowhereDense(g, examples, base);
   EXPECT_EQ(ungoverned.status, RunStatus::kComplete);
@@ -258,7 +258,7 @@ TEST(GovernedNdLearner, GenerousBudgetMatchesUngoverned) {
   limits.max_work = 1000000000;
   ResourceGovernor governor(limits);
   NdLearnerOptions governed_options = base;
-  governed_options.governor = &governor;
+  governed_options.erm.governor = &governor;
   NdLearnerResult governed = LearnNowhereDense(g, examples, governed_options);
   EXPECT_EQ(governed.status, RunStatus::kComplete);
   EXPECT_EQ(governed.erm.training_error, ungoverned.erm.training_error);
@@ -271,14 +271,14 @@ TEST(GovernedNdLearner, InjectedTripReturnsBestSoFarDeterministically) {
   AddRandomColors(g, {"Red"}, 0.4, rng);
   TrainingSet examples = LabelAll(g, "exists z. (E(x1, z) & Red(z))", 1);
   NdLearnerOptions base;
-  base.rank = 1;
+  base.erm.rank = 1;
   base.ell_star = 1;
   for (int trip : {1, 2, 5, 10, 25, 60, 150}) {
     auto run = [&](int at) {
       FaultInjector injector(at);
       ResourceGovernor governor(GovernorLimits{}, nullptr, &injector);
       NdLearnerOptions options = base;
-      options.governor = &governor;
+      options.erm.governor = &governor;
       return LearnNowhereDense(g, examples, options);
     };
     NdLearnerResult a = run(trip);
@@ -335,7 +335,7 @@ TEST(GovernedSublinear, InjectedTripAtFirstCheckpointYieldsModel) {
     ASSERT_NE(result.erm.hypothesis.registry, nullptr);
     EXPECT_EQ(result.erm.training_error, 1.0);
     std::string text = ModelText(result.erm);
-    EXPECT_TRUE(HypothesisFromText(text).has_value()) << text;
+    EXPECT_TRUE(ParseHypothesis(text).ok()) << text;
   }
 }
 
@@ -354,7 +354,7 @@ TEST(GovernedSublinear, ZeroDeadlineYieldsModel) {
     EXPECT_EQ(result.erm.status, RunStatus::kDeadlineExceeded);
     ASSERT_NE(result.erm.hypothesis.registry, nullptr);
     std::string text = ModelText(result.erm);
-    EXPECT_TRUE(HypothesisFromText(text).has_value()) << text;
+    EXPECT_TRUE(ParseHypothesis(text).ok()) << text;
   }
 }
 

@@ -291,47 +291,49 @@ TEST(GraphIo, TextRoundTrip) {
   AddPeriodicColor(g, "Mod3", 3, 1);
   AddRandomColors(g, {"Noise"}, 0.4, rng);
   std::string text = ToText(g);
-  std::string error;
-  std::optional<Graph> parsed = FromText(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  StatusOr<Graph> parsed = ParseGraph(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(ToText(*parsed), text);
 }
 
 TEST(GraphIo, RejectsMalformedInput) {
-  std::string error;
-  EXPECT_FALSE(FromText("edge 0 1", &error).has_value());
-  EXPECT_FALSE(FromText("graph 2\nedge 0 2", &error).has_value());
-  EXPECT_FALSE(FromText("graph 2\nedge 0 0", &error).has_value());
-  EXPECT_FALSE(FromText("graph -1", &error).has_value());
-  EXPECT_FALSE(FromText("", &error).has_value());
-  EXPECT_FALSE(FromText("graph 1\nbogus 3", &error).has_value());
+  for (const char* text :
+       {"edge 0 1", "graph 2\nedge 0 2", "graph 2\nedge 0 0", "graph -1", "",
+        "graph 1\nbogus 3"}) {
+    StatusOr<Graph> parsed = ParseGraph(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 // Every parse error names the offending 1-based line and quotes enough of
 // the line to find it in the input.
 TEST(GraphIo, ParseErrorsCarryLineNumbers) {
-  std::string error;
-  EXPECT_FALSE(FromText("edge 0 1", &error).has_value());
-  EXPECT_TRUE(error.starts_with("line 1: ")) << error;
+  const auto error = [](std::string_view text) {
+    StatusOr<Graph> parsed = ParseGraph(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    return parsed.ok() ? std::string() : parsed.status().message();
+  };
+  std::string message = error("edge 0 1");
+  EXPECT_TRUE(message.starts_with("line 1: ")) << message;
 
-  EXPECT_FALSE(FromText("graph 2\nedge 0 2", &error).has_value());
-  EXPECT_TRUE(error.starts_with("line 2: ")) << error;
-  EXPECT_NE(error.find("edge 0 2"), std::string::npos) << error;
+  message = error("graph 2\nedge 0 2");
+  EXPECT_TRUE(message.starts_with("line 2: ")) << message;
+  EXPECT_NE(message.find("edge 0 2"), std::string::npos) << message;
 
-  EXPECT_FALSE(FromText("graph 1\ngraph 1", &error).has_value());
-  EXPECT_TRUE(error.starts_with("line 2: ")) << error;
+  message = error("graph 1\ngraph 1");
+  EXPECT_TRUE(message.starts_with("line 2: ")) << message;
 
   // Blank and comment lines still advance the counter.
-  EXPECT_FALSE(FromText("# header\n\ngraph 2\n\nbogus 3", &error).has_value());
-  EXPECT_TRUE(error.starts_with("line 5: ")) << error;
-  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+  message = error("# header\n\ngraph 2\n\nbogus 3");
+  EXPECT_TRUE(message.starts_with("line 5: ")) << message;
+  EXPECT_NE(message.find("bogus"), std::string::npos) << message;
 
-  EXPECT_FALSE(FromText("graph 2\ncolor Red two", &error).has_value());
-  EXPECT_TRUE(error.starts_with("line 2: ")) << error;
+  message = error("graph 2\ncolor Red two");
+  EXPECT_TRUE(message.starts_with("line 2: ")) << message;
 
   // "empty input" has no line to blame and carries no prefix.
-  EXPECT_FALSE(FromText("", &error).has_value());
-  EXPECT_EQ(error, "empty input");
+  EXPECT_EQ(error(""), "empty input");
 }
 
 TEST(GraphIo, DotOutputMentionsVerticesAndEdges) {

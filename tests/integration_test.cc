@@ -41,9 +41,9 @@ TEST(Integration, LearnSerializeGeneralize) {
   ErmResult learned = TypeMajorityErm(g, train, {}, {1, 2});
   EXPECT_EQ(learned.training_error, 0.0);
   Hypothesis explicit_h = learned.hypothesis.ToExplicit();
-  std::optional<Hypothesis> restored =
-      HypothesisFromText(HypothesisToText(explicit_h));
-  ASSERT_TRUE(restored.has_value());
+  StatusOr<Hypothesis> restored =
+      ParseHypothesis(HypothesisToText(explicit_h));
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
 
   // The restored model generalises.
   double generalization = EstimateGeneralizationError(
@@ -60,8 +60,8 @@ TEST(Integration, GraphSerializationPreservesLearning) {
   Rng rng(7002);
   Graph g = MakeBoundedDegree(40, 4, 60, rng);
   AddRandomColors(g, {"Red"}, 0.3, rng);
-  std::optional<Graph> restored = FromText(ToText(g));
-  ASSERT_TRUE(restored.has_value());
+  StatusOr<Graph> restored = ParseGraph(ToText(g));
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
 
   TrainingSet examples;
   for (Vertex v = 0; v < g.order(); ++v) {
@@ -84,8 +84,8 @@ TEST(Integration, ThreeLearnersAgreeOnTwoHubs) {
   ErmResult brute = BruteForceErm(g, examples, 1, options);
   SublinearErmResult sub = SublinearErm(g, examples, 1, options);
   NdLearnerOptions nd_options;
-  nd_options.rank = 1;
-  nd_options.radius = 1;
+  nd_options.erm.rank = 1;
+  nd_options.erm.radius = 1;
   NdLearnerResult nd = LearnNowhereDense(g, examples, nd_options);
 
   EXPECT_EQ(brute.training_error, 0.0);

@@ -13,9 +13,8 @@ namespace {
 TEST(TrainingSetIo, RoundTrip) {
   TrainingSet examples = {{{0, 3}, true}, {{2, 2}, false}, {{4, 1}, true}};
   std::string text = TrainingSetToText(examples);
-  std::string error;
-  std::optional<TrainingSet> parsed = TrainingSetFromText(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  StatusOr<TrainingSet> parsed = ParseTrainingSet(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   ASSERT_EQ(parsed->size(), 3u);
   for (size_t i = 0; i < examples.size(); ++i) {
     EXPECT_EQ((*parsed)[i].tuple, examples[i].tuple);
@@ -25,46 +24,39 @@ TEST(TrainingSetIo, RoundTrip) {
 
 TEST(TrainingSetIo, EmptySetRoundTrips) {
   std::string text = TrainingSetToText({});
-  std::optional<TrainingSet> parsed = TrainingSetFromText(text);
-  ASSERT_TRUE(parsed.has_value());
+  StatusOr<TrainingSet> parsed = ParseTrainingSet(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_TRUE(parsed->empty());
 }
 
 TEST(TrainingSetIo, RejectsMalformedInput) {
-  std::string error;
-  EXPECT_FALSE(TrainingSetFromText("+ 1 2", &error).has_value());
-  EXPECT_FALSE(TrainingSetFromText("examples 2\n+ 1", &error).has_value());
-  EXPECT_FALSE(TrainingSetFromText("examples 1\n? 1", &error).has_value());
-  EXPECT_FALSE(TrainingSetFromText("examples 1\n+ x", &error).has_value());
-  EXPECT_FALSE(TrainingSetFromText("", &error).has_value());
+  for (const char* text :
+       {"+ 1 2", "examples 2\n+ 1", "examples 1\n? 1", "examples 1\n+ x", ""}) {
+    StatusOr<TrainingSet> parsed = ParseTrainingSet(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(TrainingSetIo, RejectsVerticesBeyondTheVertexRange) {
-  std::string error;
-  EXPECT_FALSE(TrainingSetFromText("examples 1\n+ 4294967297\n", &error)
-                   .has_value());
-  EXPECT_EQ(error, "bad vertex: 4294967297");
-  EXPECT_FALSE(TrainingSetFromText("examples 1\n+ 2147483648\n", &error)
-                   .has_value());
-  std::optional<TrainingSet> largest =
-      TrainingSetFromText("examples 1\n+ 2147483647\n", &error);
-  ASSERT_TRUE(largest.has_value()) << error;
+  StatusOr<TrainingSet> beyond = ParseTrainingSet("examples 1\n+ 4294967297\n");
+  ASSERT_FALSE(beyond.ok());
+  EXPECT_EQ(beyond.status().message(), "bad vertex: 4294967297");
+  EXPECT_FALSE(ParseTrainingSet("examples 1\n+ 2147483648\n").ok());
+  StatusOr<TrainingSet> largest =
+      ParseTrainingSet("examples 1\n+ 2147483647\n");
+  ASSERT_TRUE(largest.ok()) << largest.status().message();
   EXPECT_EQ((*largest)[0].tuple[0], Vertex{2147483647});
 }
 
 TEST(HypothesisIo, RejectsParametersBeyondTheVertexRange) {
-  std::string error;
-  EXPECT_FALSE(HypothesisFromText(
-                   "hypothesis k 1 ell 1\nparams 99999999999\n"
-                   "formula Red(x1)\n",
-                   &error)
-                   .has_value());
-  EXPECT_EQ(error, "bad parameter vertex: 99999999999");
-  EXPECT_FALSE(HypothesisFromText(
-                   "hypothesis k 1 ell 1\nparams 2147483648\n"
-                   "formula Red(x1)\n",
-                   &error)
-                   .has_value());
+  StatusOr<Hypothesis> beyond = ParseHypothesis(
+      "hypothesis k 1 ell 1\nparams 99999999999\nformula Red(x1)\n");
+  ASSERT_FALSE(beyond.ok());
+  EXPECT_EQ(beyond.status().message(), "bad parameter vertex: 99999999999");
+  EXPECT_FALSE(ParseHypothesis(
+                   "hypothesis k 1 ell 1\nparams 2147483648\nformula Red(x1)\n")
+                   .ok());
 }
 
 TEST(HypothesisIo, SplitViewsTheCanonicalFormulaLine) {
@@ -98,9 +90,9 @@ TEST(HypothesisIo, SplitAndFullParseReportIdenticalHeaderErrors) {
         "hypothesis k 2000000000 ell 0\nformula true"}) {
     StatusOr<HypothesisHeader> header = SplitHypothesisText(text);
     ASSERT_FALSE(header.ok()) << text;
-    std::string error;
-    EXPECT_FALSE(HypothesisFromText(text, &error).has_value()) << text;
-    EXPECT_EQ(error, header.status().message()) << text;
+    StatusOr<Hypothesis> parsed = ParseHypothesis(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(), header.status().message()) << text;
   }
   // Formula errors surface only from the parse step.
   StatusOr<HypothesisHeader> header =
@@ -144,9 +136,8 @@ TEST(HypothesisIo, RoundTripWithParameters) {
   h.param_vars = ParamVars(2);
   h.parameters = {4, 7};
   std::string text = HypothesisToText(h);
-  std::string error;
-  std::optional<Hypothesis> parsed = HypothesisFromText(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  StatusOr<Hypothesis> parsed = ParseHypothesis(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->parameters, h.parameters);
   EXPECT_EQ(parsed->query_vars, h.query_vars);
   EXPECT_EQ(parsed->param_vars, h.param_vars);
@@ -161,19 +152,17 @@ TEST(HypothesisIo, RoundTripWithParameters) {
 }
 
 TEST(HypothesisIo, RejectsMalformedModels) {
-  std::string error;
-  EXPECT_FALSE(HypothesisFromText("formula Red(x1)", &error).has_value());
-  EXPECT_FALSE(HypothesisFromText("hypothesis k 1 ell 0", &error)
-                   .has_value());
-  EXPECT_FALSE(HypothesisFromText(
-                   "hypothesis k 1 ell 1\nformula Red(x1)", &error)
-                   .has_value());  // missing params
-  EXPECT_FALSE(HypothesisFromText(
-                   "hypothesis k 1 ell 0\nformula Red(zz)", &error)
-                   .has_value());  // unknown free variable
-  EXPECT_FALSE(HypothesisFromText(
-                   "hypothesis k 1 ell 0\nformula Red(x1", &error)
-                   .has_value());  // parse error
+  for (const char* text : {"formula Red(x1)", "hypothesis k 1 ell 0",
+                           // missing params
+                           "hypothesis k 1 ell 1\nformula Red(x1)",
+                           // unknown free variable
+                           "hypothesis k 1 ell 0\nformula Red(zz)",
+                           // parse error
+                           "hypothesis k 1 ell 0\nformula Red(x1"}) {
+    StatusOr<Hypothesis> parsed = ParseHypothesis(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(HypothesisIo, LearnedModelSurvivesSerialization) {
@@ -186,8 +175,8 @@ TEST(HypothesisIo, LearnedModelSurvivesSerialization) {
   ErmResult result = TypeMajorityErm(g, examples, {}, {1, 1});
   Hypothesis learned = result.hypothesis.ToExplicit();
   std::string text = HypothesisToText(learned);
-  std::optional<Hypothesis> restored = HypothesisFromText(text);
-  ASSERT_TRUE(restored.has_value());
+  StatusOr<Hypothesis> restored = ParseHypothesis(text);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_EQ(TrainingError(g, *restored, examples),
             TrainingError(g, learned, examples));
   for (const LabeledExample& example : examples) {

@@ -12,13 +12,13 @@ namespace {
 
 TEST(NdLearnerOptions, RadiiMatchPaperFormulas) {
   NdLearnerOptions options;
-  options.rank = 1;      // r(1) = 3
+  options.erm.rank = 1;      // r(1) = 3
   options.ell_star = 1;  // R = 3^0 · (k+2)(2r+1)
-  EXPECT_EQ(options.EffectiveRadius(), 3);
+  EXPECT_EQ(options.erm.EffectiveRadius(), 3);
   EXPECT_EQ(options.GameRadius(/*k=*/1), 21);
   options.ell_star = 2;
   EXPECT_EQ(options.GameRadius(1), 63);
-  options.radius = 1;
+  options.erm.radius = 1;
   EXPECT_EQ(options.GameRadius(2), 36);  // 3 · (4·3)
 }
 
@@ -28,8 +28,8 @@ TEST(NdLearner, NoConflictsLearnsWithoutParameters) {
   TrainingSet examples = LabelByQuery(
       g, MustParseFormula("Red(x1)"), QueryVars(1), AllTuples(g.order(), 1));
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   NdLearnerResult result = LearnNowhereDense(g, examples, options);
   EXPECT_EQ(result.erm.training_error, 0.0);
   EXPECT_TRUE(result.parameters.empty());
@@ -53,8 +53,8 @@ TEST(NdLearner, TwoStarsNeedParameter) {
   for (Vertex v = 1; v <= 8; ++v) examples.push_back({{v}, true});
   for (Vertex v = 10; v <= 17; ++v) examples.push_back({{v}, false});
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   options.epsilon = 0.25;
   NdLearnerResult result = LearnNowhereDense(g, examples, options);
   EXPECT_EQ(result.erm.training_error, 0.0);
@@ -80,8 +80,8 @@ TEST(NdLearner, WithinEpsilonOfBruteForceOnTrees) {
       examples.push_back({{v}, dist[v] != kUnreachable && dist[v] <= 1});
     }
     NdLearnerOptions options;
-    options.rank = 1;
-    options.radius = 1;
+    options.erm.rank = 1;
+    options.erm.radius = 1;
     options.epsilon = 0.2;
     NdLearnerResult learned = LearnNowhereDense(g, examples, options);
     ErmResult brute = BruteForceErm(g, examples, 1, {1, 1});
@@ -102,8 +102,8 @@ TEST(NdLearner, AgnosticNoiseDoesNotBreakGuarantee) {
     examples.push_back({{v}, label});
   }
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   options.epsilon = 0.25;
   NdLearnerResult learned = LearnNowhereDense(g, examples, options);
   ErmResult brute = BruteForceErm(g, examples, 1, {1, 1});
@@ -125,8 +125,8 @@ TEST(NdLearner, PairExamplesWithParameter) {
     examples.push_back({t, same_side});
   }
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   options.epsilon = 0.3;
   options.final_radius = 13;  // the whole path fits in the window
   NdLearnerResult learned = LearnNowhereDense(g, examples, options);
@@ -161,8 +161,8 @@ TEST(NdLearner, MultiStepRecursionAccumulatesParameters) {
     }
   }
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   options.ell_star = 1;
   options.epsilon = 0.2;
   auto splitter = MakeGreedyDegreeSplitter();
@@ -190,8 +190,8 @@ TEST(NdLearner, StatsArePopulated) {
   for (Vertex v = 1; v <= 5; ++v) examples.push_back({{v}, true});
   for (Vertex v = 7; v <= 11; ++v) examples.push_back({{v}, false});
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   NdLearnerResult result = LearnNowhereDense(g, examples, options);
   EXPECT_GT(result.candidates_evaluated, 0);
   ASSERT_FALSE(result.steps.empty());
@@ -205,8 +205,8 @@ TEST(NdLearner, HypothesisClassifiesConsistently) {
   for (Vertex v = 1; v <= 4; ++v) examples.push_back({{v}, true});
   for (Vertex v = 6; v <= 9; ++v) examples.push_back({{v}, false});
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   NdLearnerResult result = LearnNowhereDense(g, examples, options);
   // The reported error must match re-evaluating the hypothesis.
   EXPECT_DOUBLE_EQ(result.erm.training_error,

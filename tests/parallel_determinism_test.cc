@@ -236,13 +236,13 @@ TEST(ParallelDeterminism, NdLearnerAcrossThreads) {
   NoisyWorkload w;
   NdLearnerOptions base_options;
   base_options.ell_star = 1;
-  base_options.rank = 1;
-  base_options.radius = 1;
-  base_options.threads = 1;
+  base_options.erm.rank = 1;
+  base_options.erm.radius = 1;
+  base_options.erm.threads = 1;
   NdLearnerResult base = LearnNowhereDense(w.graph, w.examples, base_options);
   for (int threads : kThreadCounts) {
     NdLearnerOptions options = base_options;
-    options.threads = threads;
+    options.erm.threads = threads;
     NdLearnerResult result = LearnNowhereDense(w.graph, w.examples, options);
     const std::string label = "threads=" + std::to_string(threads);
     EXPECT_EQ(result.erm.training_error, base.erm.training_error) << label;
@@ -263,10 +263,10 @@ TEST(ParallelDeterminism, NdLearnerUnderInjectedTrips) {
       ResourceGovernor governor(GovernorLimits{}, nullptr, &injector);
       NdLearnerOptions options;
       options.ell_star = 1;
-      options.rank = 1;
-      options.radius = 1;
-      options.governor = &governor;
-      options.threads = threads;
+      options.erm.rank = 1;
+      options.erm.radius = 1;
+      options.erm.governor = &governor;
+      options.erm.threads = threads;
       NdLearnerResult result = LearnNowhereDense(w.graph, w.examples, options);
       const std::string label = "trip=" + std::to_string(trip) +
                                 " threads=" + std::to_string(threads);

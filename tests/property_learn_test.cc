@@ -164,8 +164,8 @@ TEST_P(NdLearnerProperty, WithinEpsilonOfBruteForce) {
     examples.push_back({{v}, dist[v] != kUnreachable && dist[v] <= 1});
   }
   NdLearnerOptions options;
-  options.rank = 1;
-  options.radius = 1;
+  options.erm.rank = 1;
+  options.erm.radius = 1;
   options.epsilon = 0.25;
   auto splitter = MakeGreedyDegreeSplitter();
   options.splitter = splitter.get();

@@ -290,10 +290,10 @@ TEST(ModelGolden, NowhereDenseModelBytes) {
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       NdLearnerOptions options;
-      options.rank = in.options.rank;
-      options.radius = in.options.radius;
+      options.erm.rank = in.options.rank;
+      options.erm.radius = in.options.radius;
       options.ell_star = in.ell;
-      options.threads = threads;
+      options.erm.threads = threads;
       NdLearnerResult result =
           LearnNowhereDense(in.graph, in.examples, options);
       EXPECT_EQ(result.status, RunStatus::kComplete);
@@ -373,10 +373,10 @@ TripRow RunTripRow(const TripRow& key, int threads) {
     }
   } else if (learner == "nd") {
     NdLearnerOptions options;
-    options.rank = 1;
-    options.radius = 1;
-    options.governor = &governor;
-    options.threads = threads;
+    options.erm.rank = 1;
+    options.erm.radius = 1;
+    options.erm.governor = &governor;
+    options.erm.threads = threads;
     NdLearnerResult result = LearnNowhereDense(graph, examples, options);
     error = result.erm.training_error;
     row.tried = result.candidates_evaluated;
