@@ -2,7 +2,9 @@
 // dense families the rounds Splitter needs are bounded by s(r) independent
 // of n; on the somewhere-dense controls (cliques) they grow with n.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench_json.h"
 #include "graph/generators.h"
@@ -64,8 +66,9 @@ int main(int argc, char** argv) {
     for (int r : {1, 2, 3}) {
       int rounds = MeasureSplitterRounds(row.graph, r, max_rounds,
                                          *row.splitter, connectors);
-      cells.push_back(rounds > max_rounds ? ">" + std::to_string(max_rounds)
-                                          : std::to_string(rounds));
+      std::string cell = rounds > max_rounds ? ">" : "";
+      cell += std::to_string(std::min(rounds, max_rounds));
+      cells.push_back(std::move(cell));
     }
     table.AddRow(std::move(cells));
   }

@@ -6,7 +6,10 @@
 //
 //   $ ./splitter_game_demo
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "nd/splitter_game.h"
@@ -57,10 +60,10 @@ int main() {
   for (Family& family : families) {
     int rounds = MeasureSplitterRounds(family.graph, radius, max_rounds,
                                        *family.splitter, connectors);
+    std::string cell = rounds > max_rounds ? ">" : "";
+    cell += std::to_string(std::min(rounds, max_rounds));
     table.AddRow({family.name, std::to_string(family.graph.order()),
-                  family.splitter->name(),
-                  rounds > max_rounds ? ">" + std::to_string(max_rounds)
-                                      : std::to_string(rounds)});
+                  family.splitter->name(), std::move(cell)});
   }
   table.Print();
   std::printf("\nNowhere dense families finish in O(1) rounds; cliques need "

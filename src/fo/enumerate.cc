@@ -57,7 +57,8 @@ std::vector<FormulaRef> Stratum(const std::vector<std::string>& variables,
                                 Sink& sink) {
   std::vector<FormulaRef> base = Atoms(variables, options.colors);
   if (q > 0) {
-    std::string fresh = "z" + std::to_string(q);
+    // Appended: GCC warns a false -Wrestrict on `"z" + std::to_string(q)`.
+    std::string fresh = std::string("z").append(std::to_string(q));
     std::vector<std::string> extended = variables;
     extended.push_back(fresh);
     std::vector<FormulaRef> inner =

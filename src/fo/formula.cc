@@ -314,8 +314,14 @@ bool Formula::IsFirstOrder() const {
   return true;
 }
 
-std::string QueryVar(int i) { return "x" + std::to_string(i); }
-std::string ParamVar(int i) { return "y" + std::to_string(i); }
+// Appended, not `"x" + std::to_string(i)`: GCC inlines that operator+
+// into a false -Wrestrict warning.
+std::string QueryVar(int i) {
+  return std::string("x").append(std::to_string(i));
+}
+std::string ParamVar(int i) {
+  return std::string("y").append(std::to_string(i));
+}
 
 std::vector<std::string> QueryVars(int k) {
   std::vector<std::string> vars;

@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace folearn {
 
@@ -257,14 +256,10 @@ void Graph::Finalize() {
     for (ColorClass& c : colors_) {
       if (c.members_clean) continue;
       c.owned_members.clear();
-      for (size_t wi = 0; wi < c.words.size(); ++wi) {
-        uint64_t word = c.words[wi];
-        while (word != 0) {
-          const int bit = std::countr_zero(word);
-          c.owned_members.push_back(static_cast<Vertex>(wi * 64 + bit));
-          word &= word - 1;
-        }
-      }
+      AnySetBit(c.words, [&](Vertex v) {
+        c.owned_members.push_back(v);
+        return false;
+      });
       c.members = {c.owned_members.data(), c.owned_members.size()};
       c.members_clean = true;
     }
@@ -414,14 +409,10 @@ std::vector<Vertex> Graph::VerticesWithColor(ColorId color) const {
     return std::vector<Vertex>(c.members.begin(), c.members.end());
   }
   std::vector<Vertex> result;
-  for (size_t wi = 0; wi < c.words.size(); ++wi) {
-    uint64_t word = c.words[wi];
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      result.push_back(static_cast<Vertex>(wi * 64 + bit));
-      word &= word - 1;
-    }
-  }
+  AnySetBit(c.words, [&](Vertex v) {
+    result.push_back(v);
+    return false;
+  });
   return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef FOLEARN_GRAPH_GRAPH_H_
 #define FOLEARN_GRAPH_GRAPH_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -105,8 +106,9 @@ class GraphStorage {
 //     slice, and the whole structure can be written to (and memory-mapped
 //     back from) the .fog binary format without re-packing;
 //   * every colour class is kept twice: as a dense word bitset (order/64
-//     uint64 words — O(1) membership, word-parallel algebra in the VM) and
-//     as a sorted member array (cheap class scans).
+//     uint64 words — O(1) membership, the evaluators' colour-guard scans,
+//     word-parallel algebra in the VM) and as a sorted member array (cheap
+//     class scans).
 //
 // Construction is incremental through the same mutating API as before
 // (AddVertex/AddEdge/SetColor …): a graph under construction keeps
@@ -260,8 +262,9 @@ class Graph {
 
   // Raw membership bitset of `color`: WordsPerColor() little-endian words,
   // bit v of word v/64 set iff v ∈ P_c(G); bits at and above order() are
-  // zero. For hot inner loops (the bytecode VM's word-parallel quantifier
-  // bodies); everything else should go through HasColor.
+  // zero. For hot inner loops (the evaluators' colour-guard scans, the
+  // bytecode VM's word-parallel quantifier bodies); everything else should
+  // go through HasColor.
   std::span<const uint64_t> ColorWords(ColorId color) const {
     CheckColor(color);
     return colors_[color].words;
@@ -324,6 +327,22 @@ class Graph {
 
   std::vector<ColorClass> colors_;
 };
+
+// Calls visit(v) for each set bit v of a word bitset in the ColorWords
+// layout, in increasing order, until a call returns true; returns whether
+// one did. Colour-class scans (the evaluators' colour guards, the member
+// columns) walk the bitset this way instead of testing every vertex.
+template <typename Visit>
+bool AnySetBit(std::span<const uint64_t> words, Visit&& visit) {
+  for (size_t wi = 0; wi < words.size(); ++wi) {
+    for (uint64_t word = words[wi]; word != 0; word &= word - 1) {
+      if (visit(static_cast<Vertex>(wi * 64 + std::countr_zero(word)))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
 
 }  // namespace folearn
 

@@ -24,7 +24,8 @@ namespace folearn {
 //
 //  * guard+quantifier fusion — an equality guard binds a single vertex
 //    (kEqBindAtoms), an edge guard scans Neighbors(x) (kNScanAtoms), a
-//    colour guard scans the colour class (kCScanAtoms);
+//    colour guard scans the set bits of the graph's colour bitset
+//    (kCScanAtoms);
 //  * atom runs — maximal consecutive runs of (possibly negated) atoms in a
 //    conjunct/disjunct list fuse into one kAtomRun over the constant pool
 //    of VmAtom entries, and a quantifier whose whole body is such a run
@@ -81,13 +82,15 @@ enum class VmOp : uint8_t {
   kScanBegin, // CHECK order > 0; env[a] = 0; fall through into the body
   kScanNext,  // ++env[a]; jump t (body) while env[a] < order, else f
 
-  // Guard-fused loops with non-atom bodies. Loop state (cursor/end) lives
-  // in frame c; env[a] is the bound vertex, env[b] the pivot (or b the
-  // plan colour index for the colour forms).
+  // Guard-fused loops with non-atom bodies. Loop state (the neighbour
+  // cursor, or the colour scan's bitset word and unvisited bits) lives in
+  // frame c; env[a] is the bound vertex, env[b] the pivot (or b the plan
+  // colour index for the colour forms). Both scans visit their domain in
+  // increasing vertex order.
   kEqBind,     // env[a] = env[b]; fall through (single-vertex domain)
   kNScanBegin, // begin Neighbors(env[b]) scan; empty domain jumps f
   kNScanNext,  // advance; jump t (body) or f (exhausted)
-  kCScanBegin, // begin colour-class scan of plan colour b; empty jumps f
+  kCScanBegin, // begin scanning plan colour b's bitset; empty jumps f
   kCScanNext,  // advance; jump t (body) or f (exhausted)
 
   // Counting quantifier ∃^{≥threshold} with a non-atom body.
@@ -102,7 +105,7 @@ enum class VmOp : uint8_t {
   kScanAtoms,   // full vertex scan (unguarded quantifier)
   kEqBindAtoms, // single-vertex domain env[b] (equality guard)
   kNScanAtoms,  // Neighbors(env[b]) scan (edge guard)
-  kCScanAtoms,  // colour-class scan of plan colour b (colour guard)
+  kCScanAtoms,  // scan of plan colour b's bitset (colour guard)
   kCntAtoms,    // ∃^{≥b} with early abort
 };
 

@@ -1,5 +1,6 @@
 #include "mc/compiled_eval.h"
 
+#include <algorithm>
 #include <optional>
 
 namespace folearn {
@@ -19,59 +20,10 @@ CompiledEvaluator::CompiledEvaluator(const CompiledFormula& plan,
   set_buffers_.resize(plan.num_set_slots());
   set_env_.assign(plan.num_set_slots(), nullptr);
   memo_.assign(plan.num_memo_slots(), -1);
-  color_members_.resize(colors_.size());
-  color_members_ready_.assign(colors_.size(), false);
-}
-
-void CompiledEvaluator::ResetMemo() {
-  memo_.assign(memo_.size(), -1);
-  for (std::vector<Vertex>& members : color_members_) members.clear();
-  color_members_ready_.assign(color_members_ready_.size(), false);
-  // Condemned lists are gone now; count them so eviction reporting stays
-  // monotone across an explicit reset.
-  cache_evictions_ += static_cast<int64_t>(color_members_transient_.size());
-  color_members_transient_.clear();
-  color_member_bytes_ = 0;
-}
-
-const std::vector<Vertex>& CompiledEvaluator::ColorMembers(int32_t index) {
-  std::vector<Vertex>& members = color_members_[index];
-  if (!color_members_ready_[index]) {
-    color_members_ready_[index] = true;
-    const ColorId color = colors_[index];
-    for (Vertex v = 0; v < graph_.order(); ++v) {
-      if (graph_.HasColor(v, color)) members.push_back(v);
-    }
-    color_member_bytes_ +=
-        static_cast<int64_t>(members.capacity() * sizeof(Vertex));
-    // Over budget: keep the list for the remainder of this Eval call (live
-    // references into it may sit in enclosing quantifier frames) and mark
-    // it transient; Eval's prologue drops transients between calls, so the
-    // retained footprint is bounded while any single call stays correct.
-    if (options_.cache_bytes >= 0 &&
-        color_member_bytes_ > options_.cache_bytes) {
-      color_members_transient_.push_back(index);
-    }
-  }
-  return members;
-}
-
-void CompiledEvaluator::DropTransientColorMembers() {
-  for (int32_t index : color_members_transient_) {
-    std::vector<Vertex>& members = color_members_[index];
-    color_member_bytes_ -=
-        static_cast<int64_t>(members.capacity() * sizeof(Vertex));
-    members.clear();
-    members.shrink_to_fit();
-    color_members_ready_[index] = false;
-  }
-  cache_evictions_ += static_cast<int64_t>(color_members_transient_.size());
-  color_members_transient_.clear();
 }
 
 bool CompiledEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
   FOLEARN_CHECK_EQ(tuple.size(), plan_.free_vars().size());
-  DropTransientColorMembers();
   stats_ = stats;
   counting_ = stats != nullptr || options_.governor != nullptr;
   for (size_t i = 0; i < tuple.size(); ++i) {
@@ -83,16 +35,7 @@ bool CompiledEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
         << "' bound to invalid vertex " << env_[slot];
   }
   bool value = EvalNode(plan_.root());
-  if (stats != nullptr) {
-    stats->status = GovernorStatus(options_.governor);
-    // Evictions since the last report: lists marked transient during this
-    // call are counted now (they are already condemned — the next call's
-    // prologue frees them).
-    const int64_t total =
-        cache_evictions_ + static_cast<int64_t>(color_members_transient_.size());
-    stats->cache_evictions += total - reported_evictions_;
-    reported_evictions_ = total;
-  }
+  if (stats != nullptr) stats->status = GovernorStatus(options_.governor);
   return value;
 }
 
@@ -230,42 +173,24 @@ bool CompiledEvaluator::EvalGuarded(const CompiledNode& node) {
   if (!counting_ && (!is_color || colors_[node.b] >= 0)) {
     // Non-members never matter: the guard kills the conjunction (∃) or
     // satisfies the disjunction (∀) by itself, so only the guard's domain
-    // is scanned.
-    const Vertex pinned = env_[node.b];
-    const Vertex* first = &pinned;
-    size_t count = 1;
-    if (!is_equals && is_color) {
-      const std::vector<Vertex>& members = ColorMembers(node.b);
-      first = members.data();
-      count = members.size();
-    } else if (!is_equals) {
-      const std::span<const Vertex> members = graph_.Neighbors(pinned);
-      first = members.data();
-      count = members.size();
-    }
-    for (Vertex v : std::span<const Vertex>(first, count)) {
+    // is scanned. decided(v): binding v settles the quantifier — every
+    // other conjunct holds (∃), or none of the other disjuncts does (∀).
+    auto decided = [&](Vertex v) {
       env_[node.a] = v;
-      if (is_exists) {
-        bool all = true;
-        for (int32_t i = 0; i < node.num_children; ++i) {
-          if (i != guard && !EvalNode(children[i])) {
-            all = false;
-            break;
-          }
-        }
-        if (all) return true;
-      } else {
-        bool any = false;
-        for (int32_t i = 0; i < node.num_children; ++i) {
-          if (i != guard && EvalNode(children[i])) {
-            any = true;
-            break;
-          }
-        }
-        if (!any) return false;
+      for (int32_t i = 0; i < node.num_children; ++i) {
+        if (i != guard && EvalNode(children[i]) != is_exists) return false;
       }
+      return true;
+    };
+    bool hit;
+    if (is_equals) {
+      hit = decided(env_[node.b]);
+    } else if (is_color) {
+      hit = AnySetBit(graph_.ColorWords(colors_[node.b]), decided);
+    } else {
+      hit = std::ranges::any_of(graph_.Neighbors(env_[node.b]), decided);
     }
-    return !is_exists;
+    return hit == is_exists;
   }
   for (Vertex v = 0; v < graph_.order(); ++v) {
     if (!GovernorCheckpoint(options_.governor)) return false;

@@ -25,9 +25,9 @@ namespace folearn {
 //
 // Two lanes:
 //  * Ungoverned and unstatted calls take the fast lane — edge-guarded
-//    quantifiers iterate Neighbors(x), colour-guarded ones the colour
-//    class, closed subformulas hit the memo — and only the verdict is
-//    observable.
+//    quantifiers iterate Neighbors(x), colour-guarded ones the set bits of
+//    the graph's colour bitset (Graph::ColorWords), closed subformulas hit
+//    the memo — and only the verdict is observable.
 //  * With a governor or an EvalStats sink attached the evaluator mirrors
 //    the interpreter checkpoint for checkpoint and counter for counter
 //    (full vertex scans, no memo reads or writes), so work accounting and
@@ -47,10 +47,6 @@ class CompiledEvaluator {
   // from the governor on return.
   bool Eval(std::span<const Vertex> tuple, EvalStats* stats = nullptr);
 
-  // Drops all memoized subformula values (needed only if the bound graph
-  // is mutated between calls).
-  void ResetMemo();
-
   const CompiledFormula& plan() const { return plan_; }
 
  private:
@@ -62,16 +58,6 @@ class CompiledEvaluator {
   bool EvalGuarded(const CompiledNode& node);
   bool EvalCountExists(const CompiledNode& node);
   bool EvalSetQuantifier(const CompiledNode& node);
-  // Vertices of the plan's colour `index`, computed on first use and kept
-  // until ResetMemo (colour-guarded quantifiers scan this instead of V(G)).
-  // Under EvalOptions::cache_bytes, lists past the budget survive only the
-  // current Eval call (see DropTransientColorMembers).
-  const std::vector<Vertex>& ColorMembers(int32_t index);
-  // Frees colour-member lists marked transient by the byte budget. Called
-  // between Eval calls only: during a call, enclosing quantifier frames may
-  // hold live spans into the lists.
-  void DropTransientColorMembers();
-
   void CountAtom() {
     if (stats_ != nullptr) ++stats_->atom_evaluations;
   }
@@ -87,15 +73,6 @@ class CompiledEvaluator {
   std::vector<std::vector<bool>> set_buffers_;
   std::vector<const std::vector<bool>*> set_env_;
   std::vector<int8_t> memo_;  // -1 unknown, else the cached verdict
-  std::vector<std::vector<Vertex>> color_members_;  // per plan colour
-  std::vector<bool> color_members_ready_;
-  // Byte budget bookkeeping (EvalOptions::cache_bytes): payload bytes held,
-  // slots to free at the next call boundary, and eviction counters
-  // (cumulative / last value surfaced into an EvalStats sink).
-  int64_t color_member_bytes_ = 0;
-  std::vector<int32_t> color_members_transient_;
-  int64_t cache_evictions_ = 0;
-  int64_t reported_evictions_ = 0;
   EvalStats* stats_ = nullptr;
   bool counting_ = false;
 };

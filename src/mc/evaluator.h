@@ -117,11 +117,6 @@ struct EvalStats {
   // VmOp (mc/bytecode.h; names via VmOpName). Empty until a VM evaluation
   // ran with this sink; sized kNumVmOps afterwards.
   std::vector<int64_t> vm_op_dispatches;
-  // Memo-table entries dropped to honour EvalOptions::cache_bytes
-  // (VM path only; stays 0 when the budget is unlimited). Purely a
-  // performance signal: verdicts and work counts are identical with any
-  // budget.
-  int64_t cache_evictions = 0;
   // kComplete: the returned truth value is exact. Otherwise the governor
   // tripped mid-evaluation and the returned value is unspecified (the
   // recursion unwound early, possibly under a negation).
@@ -143,12 +138,6 @@ struct EvalOptions {
   // evaluation unwinds immediately; the returned bool is then unspecified —
   // check `stats->status` or the governor itself.
   ResourceGovernor* governor = nullptr;
-  // Byte budget for the VM's colour-member lists (and the plan walker's,
-  // when the VM falls back to it); −1 = unbounded. Lists over budget are
-  // recomputed on demand instead of retained, with deterministic
-  // (insertion-order) eviction; results are identical with any budget.
-  // Evictions are reported via EvalStats::cache_evictions.
-  int64_t cache_bytes = -1;
 };
 
 // The FO-MC substrate (paper §4): decides G ⊨ φ under `assignment` by the

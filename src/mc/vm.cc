@@ -23,18 +23,6 @@ std::shared_ptr<const VmGraphIndex> VmGraphIndex::Build(const Graph& graph) {
       row[v >> 6] |= uint64_t{1} << (v & 63);
     }
   }
-  const int num_colors = graph.vocabulary().size();
-  index->color_bits.assign(
-      static_cast<size_t>(num_colors) * index->stride, 0);
-  for (ColorId c = 0; c < num_colors; ++c) {
-    // The graph stores colour classes as word bitsets in exactly this
-    // layout, so a row is a straight copy instead of a bit-by-bit repack.
-    const std::span<const uint64_t> words = graph.ColorWords(c);
-    FOLEARN_CHECK_EQ(words.size(), static_cast<size_t>(index->stride));
-    std::copy(words.begin(), words.end(),
-              index->color_bits.data() +
-                  static_cast<size_t>(c) * index->stride);
-  }
   return index;
 }
 
@@ -47,11 +35,9 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
       graph_(graph),
       options_(options),
       edge_index_(std::move(edge_index)) {
-  colors_.reserve(plan.color_names().size());
   color_rows_.reserve(plan.color_names().size());
   for (const std::string& name : plan.color_names()) {
     std::optional<ColorId> color = graph.FindColor(name);
-    colors_.push_back(color.has_value() ? *color : ColorId{-1});
     color_rows_.push_back(
         color.has_value() ? graph.ColorWords(*color).data() : nullptr);
   }
@@ -62,7 +48,7 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
     // full-scan path reproduces the interpreter's lazy missing-colour
     // semantics at the guard's original position.
     for (int32_t index : lowered.guard_colors) {
-      if (colors_[index] < 0) {
+      if (color_rows_[index] == nullptr) {
         runnable = false;
         break;
       }
@@ -75,72 +61,22 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
   if (edge_index_ == nullptr &&
       graph.order() <= VmGraphIndex::kAutoBuildOrder) {
     edge_index_ = VmGraphIndex::Build(graph);
-    auto_built_index_ = true;
   }
-  if (edge_index_ != nullptr) scratch_body_.assign(edge_index_->stride, 0);
+  if (edge_index_ != nullptr) {
+    // Colour-guard domains are the graph's bitsets, read edge_index_->stride
+    // words at a time: the index must match this graph's order.
+    FOLEARN_CHECK_EQ(edge_index_->order, graph.order());
+    scratch_body_.assign(edge_index_->stride, 0);
+  }
   env_.assign(plan.env_size(), 0);
   memo_.assign(plan.num_memo_slots(), -1);
   frames_.resize(static_cast<size_t>(
       std::max(lowered.fast.num_frames, lowered.counting.num_frames)));
-  color_members_.resize(colors_.size());
-  color_members_ready_.assign(colors_.size(), false);
-}
-
-void VmEvaluator::ResetMemo() {
-  if (fallback_.has_value()) {
-    fallback_->ResetMemo();
-    return;
-  }
-  memo_.assign(memo_.size(), -1);
-  // An auto-built adjacency index is stale after a graph mutation (the
-  // only reason to call ResetMemo); a caller-shared index is the caller's
-  // to rebuild.
-  if (auto_built_index_) edge_index_ = VmGraphIndex::Build(graph_);
-  for (std::vector<Vertex>& members : color_members_) members.clear();
-  color_members_ready_.assign(color_members_ready_.size(), false);
-  cache_evictions_ += static_cast<int64_t>(color_members_transient_.size());
-  color_members_transient_.clear();
-  color_member_bytes_ = 0;
-}
-
-const std::vector<Vertex>& VmEvaluator::ColorMembers(int32_t index) {
-  std::vector<Vertex>& members = color_members_[index];
-  if (!color_members_ready_[index]) {
-    color_members_ready_[index] = true;
-    const ColorId color = colors_[index];
-    for (Vertex v = 0; v < graph_.order(); ++v) {
-      if (graph_.HasColor(v, color)) members.push_back(v);
-    }
-    color_member_bytes_ +=
-        static_cast<int64_t>(members.capacity() * sizeof(Vertex));
-    // Over budget: keep the list for the remainder of this Eval call (an
-    // enclosing scan frame may hold a live span into it) and mark it
-    // transient; the next call's prologue drops it.
-    if (options_.cache_bytes >= 0 &&
-        color_member_bytes_ > options_.cache_bytes) {
-      color_members_transient_.push_back(index);
-    }
-  }
-  return members;
-}
-
-void VmEvaluator::DropTransientColorMembers() {
-  for (int32_t index : color_members_transient_) {
-    std::vector<Vertex>& members = color_members_[index];
-    color_member_bytes_ -=
-        static_cast<int64_t>(members.capacity() * sizeof(Vertex));
-    members.clear();
-    members.shrink_to_fit();
-    color_members_ready_[index] = false;
-  }
-  cache_evictions_ += static_cast<int64_t>(color_members_transient_.size());
-  color_members_transient_.clear();
 }
 
 bool VmEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
   if (fallback_.has_value()) return fallback_->Eval(tuple, stats);
   FOLEARN_CHECK_EQ(tuple.size(), plan_.free_vars().size());
-  DropTransientColorMembers();
   for (size_t i = 0; i < tuple.size(); ++i) {
     env_[i] = tuple[i];
   }
@@ -152,15 +88,18 @@ bool VmEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
   const bool counting = stats != nullptr || options_.governor != nullptr;
   const bool value = counting ? Run<true>(lowered_.counting, stats)
                               : Run<false>(lowered_.fast, nullptr);
-  if (stats != nullptr) {
-    stats->status = GovernorStatus(options_.governor);
-    const int64_t total =
-        cache_evictions_ +
-        static_cast<int64_t>(color_members_transient_.size());
-    stats->cache_evictions += total - reported_evictions_;
-    reported_evictions_ = total;
-  }
+  if (stats != nullptr) stats->status = GovernorStatus(options_.governor);
   return value;
+}
+
+bool VmEvaluator::NextColorMember(Frame& frame, Vertex* v) const {
+  while (frame.pending == 0) {
+    if (++frame.word == graph_.WordsPerColor()) return false;
+    frame.pending = frame.words[frame.word];
+  }
+  *v = static_cast<Vertex>(frame.word * 64 + std::countr_zero(frame.pending));
+  frame.pending &= frame.pending - 1;
+  return true;
 }
 
 // Unchecked bit-test atom primitives: every vertex reaching these was
@@ -241,14 +180,14 @@ uint64_t VmEvaluator::BodyWord(int32_t scan_slot, const VmAtom* first,
                     : uint64_t{1} << env_[a_scan ? atom->b : atom->a];
           break;
         default: {
-          const ColorId color = colors_[atom->b];
-          if (color < 0) {
+          const uint64_t* row = color_rows_[atom->b];
+          if (row == nullptr) {
             FOLEARN_CHECK(options_.missing_color_is_false)
                 << "colour '" << plan_.color_names()[atom->b]
                 << "' not in the graph's vocabulary";
             lit = 0;
           } else {
-            lit = index.ColorRow(color)[0];
+            lit = row[0];
           }
           break;
         }
@@ -312,19 +251,17 @@ const uint64_t* VmEvaluator::BodySet(int32_t scan_slot, const VmAtom* first,
             single = env_[a_scan ? atom->b : atom->a];
           }
           break;
-        default: {  // colour on the scan variable
-          const ColorId color = colors_[atom->b];
-          if (color < 0) {
+        default:  // colour on the scan variable
+          row = color_rows_[atom->b];
+          if (row == nullptr) {
             FOLEARN_CHECK(options_.missing_color_is_false)
                 << "colour '" << plan_.color_names()[atom->b]
                 << "' not in the graph's vocabulary";
             shape = Shape::kEmpty;
           } else {
             shape = Shape::kRow;
-            row = index.ColorRow(color);
           }
           break;
-        }
       }
     }
     // Fold the negation into the constant shapes; kRow/kSingle negate in
@@ -617,26 +554,16 @@ vm_dispatch:
   VM_CASE(kCScanBegin) {
     FOLEARN_CHECK_GT(graph_.order(), 0)
         << "quantifier evaluated on the empty graph";
-    const std::vector<Vertex>& members = ColorMembers(ip->b);
     Frame& frame = frames_[ip->c];
-    frame.cur = members.data();
-    frame.end = frame.cur + members.size();
-    if (frame.cur == frame.end) {
-      ip = code + ip->f;
-    } else {
-      env_[ip->a] = *frame.cur;
-      ++ip;
-    }
+    frame.words = color_rows_[ip->b];
+    frame.word = 0;
+    frame.pending = frame.words[0];
+    ip = NextColorMember(frame, &env_[ip->a]) ? ip + 1 : code + ip->f;
     VM_DISPATCH();
   }
   VM_CASE(kCScanNext) {
-    Frame& frame = frames_[ip->c];
-    if (++frame.cur == frame.end) {
-      ip = code + ip->f;
-    } else {
-      env_[ip->a] = *frame.cur;
-      ip = code + ip->t;
-    }
+    ip = NextColorMember(frames_[ip->c], &env_[ip->a]) ? code + ip->t
+                                                        : code + ip->f;
     VM_DISPATCH();
   }
   VM_CASE(kCntBegin) {
@@ -744,19 +671,19 @@ vm_dispatch:
     const VmAtom* const first = atoms + ip->c;
     bool verdict;
     // Guard colours are guaranteed resolved (see the runnable check), so
-    // the index's colour row is the exact scan domain.
+    // the graph's colour bitset is the exact scan domain.
+    const uint64_t* const domain = color_rows_[ip->b];
     if (!kCounting && edge_index_ != nullptr) {
-      verdict = VectorQuantifier(edge_index_->ColorRow(colors_[ip->b]),
-                                 ip->a, first, ip->d, disj, is_exists);
+      verdict = VectorQuantifier(domain, ip->a, first, ip->d, disj,
+                                 is_exists);
     } else {
-      verdict = !is_exists;
-      for (Vertex v : ColorMembers(ip->b)) {
-        env_[ip->a] = v;
-        if (RunAtoms(first, ip->d, disj) == is_exists) {
-          verdict = is_exists;
-          break;
-        }
-      }
+      const bool hit = AnySetBit(
+          std::span<const uint64_t>(domain, graph_.WordsPerColor()),
+          [&](Vertex v) {
+            env_[ip->a] = v;
+            return RunAtoms(first, ip->d, disj) == is_exists;
+          });
+      verdict = hit == is_exists;
     }
     ip = code + (verdict ? ip->t : ip->f);
     VM_DISPATCH();

@@ -31,18 +31,16 @@ namespace folearn {
 // vertex, so an edge atom is a single unchecked bit test instead of
 // Graph::HasEdge's bounds-checked binary search — the VM validates every
 // vertex once at bind/scan time, so the per-atom checks are pure
-// overhead. Immutable after Build; share one instance across every
-// evaluator bound to the same graph (the enumeration-ERM grid keeps
-// thousands alive at once — per-evaluator copies would multiply the
-// O(order²/8) footprint by the candidate count).
+// overhead. Rows share Graph::ColorWords' word layout, so quantifier
+// bodies combine adjacency rows with the graph's own colour bitsets.
+// Immutable after Build; share one instance across every evaluator bound
+// to the same graph (the enumeration-ERM grid keeps thousands alive at
+// once — per-evaluator copies would multiply the O(order²/8) footprint by
+// the candidate count).
 struct VmGraphIndex {
   int32_t order = 0;
   int32_t stride = 0;           // uint64 words per row
   std::vector<uint64_t> bits;   // order × stride, row-major
-  // One row per graph colour (vocabulary order): a straight copy of
-  // Graph::ColorWords (same word layout), so quantifier bodies can be
-  // combined with bitset algebra alongside adjacency rows.
-  std::vector<uint64_t> color_bits;  // vocabulary.size() × stride
 
   // Orders above this would cost > 32 MiB; Build then returns nullptr and
   // the VM keeps using Graph::HasEdge (still correct, just slower).
@@ -62,9 +60,6 @@ struct VmGraphIndex {
   const uint64_t* AdjacencyRow(Vertex v) const {
     return bits.data() + static_cast<size_t>(v) * stride;
   }
-  const uint64_t* ColorRow(ColorId color) const {
-    return color_bits.data() + static_cast<size_t>(color) * stride;
-  }
   // All-ones mask for the last word of a row (rows keep the bits past
   // `order` zero; complements must re-apply this).
   uint64_t TailMask() const {
@@ -80,7 +75,9 @@ struct VmGraphIndex {
 // ungoverned, unstatted calls run the `fast` program (superinstructions,
 // guard domains, memos); calls with a governor or an EvalStats sink run
 // the `counting` program, whose counters and governor cut points are
-// byte-identical to the interpreter.
+// byte-identical to the interpreter. Colour atoms and colour-guard scans
+// read the graph's own colour bitsets (Graph::ColorWords); the evaluator
+// keeps no per-colour state of its own.
 //
 // Plans the lowering rejects (MSO set quantifiers, oversized programs) and
 // graphs that cannot resolve a fast-lane guard colour delegate every call
@@ -107,10 +104,6 @@ class VmEvaluator {
   // stats->vm_op_dispatches.
   bool Eval(std::span<const Vertex> tuple, EvalStats* stats = nullptr);
 
-  // Drops memoized subformula verdicts and colour-member lists (needed
-  // only if the bound graph is mutated between calls).
-  void ResetMemo();
-
   const CompiledFormula& plan() const { return plan_; }
   const LoweredPlan& lowered() const { return lowered_; }
   // True when this evaluator delegates to its plan-walker fallback
@@ -130,9 +123,10 @@ class VmEvaluator {
   // Word-parallel quantifier bodies (fast lane only; the counting lane
   // replays the interpreter instruction for instruction). BodySet fills
   // scratch_body_ with the set of scan-variable values satisfying the
-  // atom run — colour atoms contribute their bitmap row, edge atoms the
-  // pivot's adjacency row, equalities a singleton, scan-free atoms a
-  // scalar full/empty — combined by AND (conjunctive) or OR (disjunctive).
+  // atom run — colour atoms contribute the graph's colour bitset, edge
+  // atoms the pivot's adjacency row, equalities a singleton, scan-free
+  // atoms a scalar full/empty — combined by AND (conjunctive) or OR
+  // (disjunctive).
   const uint64_t* BodySet(int32_t scan_slot, const VmAtom* first,
                           int32_t count, bool disj);
   // Single-word BodySet for order ≤ 64 (stride 1): no scratch traffic.
@@ -154,18 +148,22 @@ class VmEvaluator {
   // not count atom evaluations.
   bool RunAtoms(const VmAtom* first, int32_t count, bool disj);
 
-  // Colour-member lists with the plan walker's exact byte-budget
-  // semantics (transient marking over EvalOptions::cache_bytes, dropped at
-  // the next call boundary, evictions reported monotonically).
-  const std::vector<Vertex>& ColorMembers(int32_t index);
-  void DropTransientColorMembers();
-
   // Per-loop-site scan state for guard-fused and counting loops.
   struct Frame {
+    // Neighbour scans: the cursor into the CSR row and the row's end.
     const Vertex* cur = nullptr;
     const Vertex* end = nullptr;
+    // Colour scans: the class's bitset, the current word's index and its
+    // not yet visited bits.
+    const uint64_t* words = nullptr;
+    int32_t word = 0;
+    uint64_t pending = 0;
     int64_t needed = 0;
   };
+
+  // Binds *v to the colour scan's next member in increasing order; false
+  // once the class is exhausted (*v untouched).
+  bool NextColorMember(Frame& frame, Vertex* v) const;
 
   const CompiledFormula& plan_;
   const LoweredPlan& lowered_;
@@ -175,22 +173,14 @@ class VmEvaluator {
   // unresolved on this graph; then every call delegates wholesale.
   std::optional<CompiledEvaluator> fallback_;
   // Bit-test atom domains: the shared (or auto-built) adjacency matrix and
-  // one raw membership row per resolved plan colour (nullptr otherwise).
+  // the graph's colour bitset (Graph::ColorWords) per plan colour name,
+  // nullptr for a name the graph does not resolve.
   std::shared_ptr<const VmGraphIndex> edge_index_;
-  bool auto_built_index_ = false;  // rebuild in ResetMemo (graph mutated)
   std::vector<uint64_t> scratch_body_;  // one row for BodySet
-  // Raw word-bitset rows (Graph::ColorWords) per plan colour name.
   std::vector<const uint64_t*> color_rows_;
-  std::vector<ColorId> colors_;  // per plan colour name; -1 = unresolved
   std::vector<Vertex> env_;
   std::vector<int8_t> memo_;  // -1 unknown, else the cached verdict
   std::vector<Frame> frames_;
-  std::vector<std::vector<Vertex>> color_members_;
-  std::vector<bool> color_members_ready_;
-  int64_t color_member_bytes_ = 0;
-  std::vector<int32_t> color_members_transient_;
-  int64_t cache_evictions_ = 0;
-  int64_t reported_evictions_ = 0;
 };
 
 }  // namespace folearn

@@ -33,6 +33,11 @@ namespace folearn {
 
 namespace {
 
+// listen(2) backlog.
+constexpr int kListenBacklog = 64;
+// Tier thresholds as fractions of ServerOptions::mem_budget_bytes.
+constexpr PressureThresholds kPressure;
+
 // Substantive operations count against max_inflight; control-plane ops
 // (ping, stats, get-model, list-models, close-session, shutdown) are
 // always admitted so a loaded server stays observable and stoppable.
@@ -388,7 +393,7 @@ Status Server::Start() {
     return UnavailableError("bind failed on " + options_.socket_path + ": " +
                             std::strerror(errno));
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return UnavailableError(std::string("listen failed: ") +
                             std::strerror(errno));
   }
@@ -434,19 +439,28 @@ void Server::Serve() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    // Reap connections that have ended, so a long-running daemon holds
+    // threads (and their stacks) only for connections still open.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      ConnectionLoop(fd);
+      connection.done.store(true, std::memory_order_release);
+    });
   }
   // Drain: no new connections; unblock in-flight reads; join everything.
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connections_);
-  }
-  for (std::thread& thread : connections) thread.join();
+  for (Connection& connection : connections_) connection.thread.join();
+  connections_.clear();
   stopping_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
 }
@@ -480,8 +494,7 @@ void Server::UpdatePressure() {
     tier = static_cast<PressureTier>(std::min(
         options_.force_tier, static_cast<int>(PressureTier::kBlack)));
   } else {
-    tier = ClassifyPressure(used, options_.mem_budget_bytes,
-                            options_.pressure);
+    tier = ClassifyPressure(used, options_.mem_budget_bytes, kPressure);
   }
   const auto previous = static_cast<PressureTier>(tier_.exchange(
       static_cast<int>(tier), std::memory_order_relaxed));
@@ -514,7 +527,7 @@ void Server::EvictWarmStateUnderPressure() {
       options_.mem_budget_bytes != kNoLimit && options_.force_tier < 0
           ? static_cast<int64_t>(static_cast<double>(
                                      options_.mem_budget_bytes) *
-                                 options_.pressure.red)
+                                 kPressure.red)
           : 0;
   std::vector<std::pair<int64_t, std::shared_ptr<SessionSlot>>> idle;
   {
@@ -782,12 +795,6 @@ StatusOr<std::shared_ptr<Server::Session>> Server::AcquireSession(
   slot->live = session;
   BumpStat(&ServerStats::sessions_rewarmed);
   return session;
-}
-
-Status Server::JournalSession(uint64_t id, const Session& session) {
-  (void)id;
-  if (!store_.enabled() || session.closed) return OkStatus();
-  return store_.Save(session.ToRecord());
 }
 
 void Server::EvictIdleSessions() {

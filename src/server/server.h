@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -114,8 +115,6 @@ struct ServerOptions {
   int64_t plan_cache_bytes = 8 << 20;
   // Bound of the per-session learn dedup window (journaled with it).
   int dedup_window = 64;
-  // listen(2) backlog.
-  int backlog = 64;
   // Test hook (chaos harness): die with kCrashExitCode right after the
   // Nth completed journal write; < 0 disables.
   int64_t crash_at_journal_write = -1;
@@ -125,7 +124,8 @@ struct ServerOptions {
   // Process-wide byte budget. kNoLimit = ungoverned: the watchdog still
   // publishes RSS/accounted gauges but the tier stays green. With a
   // budget, the watchdog classifies max(RSS, accounted bytes) against it
-  // every mem_watchdog_ms and the server *degrades* instead of dying:
+  // every mem_watchdog_ms, at the default PressureThresholds fractions
+  // (util/mem_budget.h), and the server *degrades* instead of dying:
   //   yellow  caches flip to read-through; non-mmap load-graph is shed
   //   red     + idle warm state evicted LRU-first, plan cache trimmed to
   //             a floor
@@ -141,8 +141,6 @@ struct ServerOptions {
   int64_t session_mem_bytes = kNoLimit;
   // Watchdog poll cadence.
   int64_t mem_watchdog_ms = 200;
-  // Tier thresholds as fractions of mem_budget_bytes.
-  PressureThresholds pressure;
   // Test hook: pin the pressure tier (0=green 1=yellow 2=red 3=black)
   // regardless of measured memory; < 0 disables. The pinned tier drives
   // the same degradation paths as a measured one.
@@ -267,10 +265,6 @@ class Server {
 
   std::shared_ptr<SessionSlot> FindSlot(uint64_t id);
 
-  // Journals the session's current durable state; on failure the caller
-  // must roll back the in-memory mutation and fail the request.
-  Status JournalSession(uint64_t id, const Session& session);
-
   // Demotes (journaled) or closes (memory-only) sessions idle longer
   // than session_ttl_ms. Called from the accept loop's poll cadence.
   void EvictIdleSessions();
@@ -337,7 +331,15 @@ class Server {
   uint64_t next_session_id_ = 1;
   mutable std::mutex stats_mu_;
   ServerStats stats_;
-  std::vector<std::thread> connections_;
+  // One thread per accepted connection; it sets `done` as its last step.
+  // Touched only by the Serve() thread, which joins and drops finished
+  // connections before admitting the next one and joins the rest at
+  // shutdown.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections_;
 };
 
 }  // namespace folearn

@@ -134,26 +134,6 @@ void ThreadPool::RunParallel(int workers,
   pool->job = nullptr;
 }
 
-void ParallelFor(int64_t n, int threads, int64_t chunk_size,
-                 const std::function<void(int64_t, int)>& body) {
-  if (n <= 0) return;
-  FOLEARN_CHECK_GE(threads, 1);
-  if (chunk_size < 1) chunk_size = 1;
-  const int64_t total_chunks = (n - 1) / chunk_size + 1;
-  std::atomic<int64_t> next_chunk{0};
-  auto run = [&](int worker) {
-    while (true) {
-      const int64_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= total_chunks) return;
-      const int64_t begin = chunk * chunk_size;
-      const int64_t end =
-          n - begin > chunk_size ? begin + chunk_size : n;
-      for (int64_t index = begin; index < end; ++index) body(index, worker);
-    }
-  };
-  ThreadPool::Global().RunParallel(threads, run);
-}
-
 SweepOutcome ParallelSweep(
     int64_t n, const SweepOptions& options,
     const std::function<std::pair<double, bool>(int64_t, int)>& eval) {

@@ -69,13 +69,6 @@ class ThreadPool {
   Impl* impl_ = nullptr;
 };
 
-// Static-chunked parallel-for over [0, n): runs body(index, worker) for
-// every index, with chunks claimed in increasing order. No reduction, no
-// early exit; `threads` is used as given (callers resolve via
-// EffectiveThreads).
-void ParallelFor(int64_t n, int threads, int64_t chunk_size,
-                 const std::function<void(int64_t, int)>& body);
-
 struct SweepOptions {
   int threads = 1;         // resolved worker count (EffectiveThreads)
   int64_t chunk_size = 16;  // indices claimed per chunk

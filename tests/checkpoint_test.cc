@@ -96,7 +96,9 @@ TEST(CheckpointEnvelope, EveryTruncationIsRejected) {
     ASSERT_TRUE(WriteFileAtomic(path, full->substr(0, len)).ok());
     StatusOr<std::string> read = ReadCheckpointFile(path);
     EXPECT_FALSE(read.ok()) << "truncation to " << len << " bytes accepted";
-    if (!read.ok()) EXPECT_EQ(StatusExitCode(read.status()), 65);
+    if (!read.ok()) {
+      EXPECT_EQ(StatusExitCode(read.status()), 65);
+    }
   }
 }
 

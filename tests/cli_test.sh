@@ -46,21 +46,20 @@ grep -q 'training error: 0.0000' "$DIR/sub.log"
 "$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
     --model "$DIR/m.txt" | grep -q 'error: 0.0000'
 
-# 4b. --cache-bytes bounds the VM's colour-member lists; it may cost time,
-#     never output: a zero budget prints what no budget prints, on the
-#     learned model and on a colour-guarded one, ungoverned and under a
-#     (generous) work budget.
+# 4b. Colour-guarded quantifiers scan the graph's colour bitsets: the
+#     learned model and a colour-guarded one print the same output
+#     ungoverned (the VM's fast lane), under a (generous) work budget (its
+#     counting lane) and on the interpreted reference engine.
 printf 'hypothesis k 1 ell 0\nformula exists y. (Red(y) & (E(x1, y) | x1 = y))\n' \
     > "$DIR/guarded.txt"
 for model in m.txt guarded.txt; do
-  for limit in "" "--max-work 1000000"; do
-    # shellcheck disable=SC2086  # $limit is deliberately word-split
-    plain=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
-        --model "$DIR/$model" $limit)
-    # shellcheck disable=SC2086
-    budgeted=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
-        --model "$DIR/$model" --cache-bytes 0 $limit)
-    [ "$plain" = "$budgeted" ]
+  plain=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+      --model "$DIR/$model")
+  for variant in "--max-work 1000000" "--eval interpreted"; do
+    # shellcheck disable=SC2086  # $variant is deliberately word-split
+    other=$("$CLI" eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+        --model "$DIR/$model" $variant)
+    [ "$plain" = "$other" ]
   done
 done
 
@@ -404,8 +403,13 @@ expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" \
 # Negative budgets/arities are typos, not sentinels.
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --cache-bytes -1
 grep -q -- '--cache-bytes must be >= 0' "$DIR/f64.log"
+# --cache-bytes budgets learn's ball cache; eval and mc have no cache.
 expect_64 eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
     --model "$DIR/m.txt" --cache-bytes -1
+grep -q "unknown flag '--cache-bytes' for command 'eval'" "$DIR/f64.log"
+expect_64 mc --graph "$DIR/g.txt" --sentence "exists x. Red(x)" \
+    --cache-bytes 0
+grep -q "unknown flag '--cache-bytes' for command 'mc'" "$DIR/f64.log"
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --ell -1
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --rank -1
 expect_64 learn --graph "$DIR/g.txt" --data "$DIR/d.txt" --radius -2

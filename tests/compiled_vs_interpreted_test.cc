@@ -457,48 +457,120 @@ TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
   EXPECT_EQ(interpreted_stats.exec_ms, 0.0);
 }
 
-// EvalOptions::cache_bytes bounds the VM's colour-member lists: with a
-// zero budget every list built during a call is dropped before the next,
-// and is rebuilt on demand. The budget may cost time, never results:
-// against an unbounded evaluator the verdicts (both lanes) and the EvalStats
-// work counters are identical, and only cache_evictions differs.
-TEST(CompiledVsInterpreted, VmColourMemberBudgetKeepsVerdictsAndStats) {
-  Rng rng(29);
-  Graph graph = MakeErdosRenyi(12, 0.3, rng);
-  AddRandomColors(graph, {"Red", "Blue"}, 0.5, rng);
+// Colour-guarded quantifiers scan the set bits of the graph's colour
+// bitsets (Graph::ColorWords) in increasing vertex order, in the VM and in
+// its plan walker. Against the interpreter, a VM reused across tuples must
+// agree on every verdict in both lanes, and its counting lane on every
+// work counter, on: a small graph (word-parallel bodies over one word;
+// the plan walker via MSO-wrapped formulas), a sparse graph above
+// VmGraphIndex::kAutoBuildOrder (no adjacency index, so the scalar scans
+// run) whose classes are empty, a singleton past vertex 4096, or dense
+// (whole leading words, empty middle words, the partial last word), and a
+// multi-word graph coloured after Finalize() (stale member columns).
+TEST(CompiledVsInterpreted, VmColourGuardedScansMatchInterpreter) {
   const std::vector<std::string> vars = {"x"};
-  EvalOptions zero_budget = Vm();
-  zero_budget.cache_bytes = 0;
-  for (const char* text :
-       {"exists y. (Blue(y) & (E(x, y) | Red(y)))",
-        "forall y. (!Red(y) | exists z. (Blue(z) & !E(y, z)))",
-        "exists y. (Red(y) & exists z. (Blue(z) & E(y, z) & !E(x, z)))"}) {
-    SCOPED_TRACE(text);
-    const FormulaRef formula = MustParseFormula(text);
-    const CompiledFormula plan = CompileFormula(formula, vars);
-    const LoweredPlan lowered = LowerPlan(plan);
-    VmEvaluator unbounded(plan, lowered, graph, Vm());
-    VmEvaluator budgeted(plan, lowered, graph, zero_budget);
-    EvalStats unbounded_stats;
-    EvalStats budgeted_stats;
-    for (Vertex v = 0; v < graph.order(); ++v) {
-      const std::vector<Vertex> tuple = {v};
-      const bool expected =
-          EvaluateQuery(graph, formula, vars, tuple, Interpreted());
-      EXPECT_EQ(unbounded.Eval(tuple, &unbounded_stats), expected) << v;
-      EXPECT_EQ(budgeted.Eval(tuple, &budgeted_stats), expected) << v;
-      EXPECT_EQ(budgeted.Eval(tuple), expected) << v << " (fast lane)";
+  const char* const texts[] = {
+      "exists y. (Blue(y) & (E(x, y) | Red(y)))",
+      "forall y. (!Red(y) | exists z. (Blue(z) & !E(y, z)))",
+      "exists y. (Red(y) & exists z. (Blue(z) & E(y, z) & !E(x, z)))"};
+  int verdicts[2] = {0, 0};
+  std::vector<bool> ops_seen(kNumVmOps, false);
+  auto check = [&](const Graph& graph, const std::vector<Vertex>& xs,
+                   const std::string& label) {
+    for (const char* text : texts) {
+      // On graphs small enough for MSO, φ also runs wrapped as
+      // ∀S (∃w S(w) ∨ φ), which has φ's verdict but does not lower to
+      // bytecode: the VM's plan walker then runs the colour scans.
+      const FormulaRef plain = MustParseFormula(text);
+      std::vector<FormulaRef> formulas = {plain};
+      if (graph.order() <= 22) {
+        formulas.push_back(Formula::ForallSet(
+            "S",
+            Formula::Or(Formula::Exists("w", Formula::SetMember("w", "S")),
+                        plain)));
+      }
+      for (const FormulaRef& formula : formulas) {
+        const bool walker = formula != plain;
+        SCOPED_TRACE(label + ": " + text + (walker ? " (plan walker)" : ""));
+        const CompiledFormula plan = CompileFormula(formula, vars);
+        const LoweredPlan lowered = LowerPlan(plan);
+        for (const VmInst& inst : lowered.fast.code) {
+          ops_seen[static_cast<int>(inst.op)] = true;
+        }
+        VmEvaluator vm(plan, lowered, graph, Vm());
+        ASSERT_EQ(vm.uses_fallback(), walker);
+        for (Vertex x : xs) {
+          const std::vector<Vertex> tuple = {x};
+          EvalStats expected_stats;
+          const bool expected = EvaluateQuery(graph, formula, vars, tuple,
+                                              Interpreted(), &expected_stats);
+          ++verdicts[expected ? 1 : 0];
+          EvalStats stats;
+          EXPECT_EQ(vm.Eval(tuple, &stats), expected) << x;
+          EXPECT_EQ(stats.atom_evaluations, expected_stats.atom_evaluations)
+              << x;
+          EXPECT_EQ(stats.quantifier_branches,
+                    expected_stats.quantifier_branches)
+              << x;
+          EXPECT_EQ(stats.status, RunStatus::kComplete) << x;
+          EXPECT_EQ(vm.Eval(tuple), expected) << x << " (fast lane)";
+        }
+      }
     }
-    EXPECT_EQ(budgeted_stats.atom_evaluations,
-              unbounded_stats.atom_evaluations);
-    EXPECT_EQ(budgeted_stats.quantifier_branches,
-              unbounded_stats.quantifier_branches);
-    EXPECT_EQ(budgeted_stats.vm_op_dispatches,
-              unbounded_stats.vm_op_dispatches);
-    EXPECT_EQ(budgeted_stats.status, unbounded_stats.status);
-    EXPECT_EQ(unbounded_stats.cache_evictions, 0);
-    EXPECT_GT(budgeted_stats.cache_evictions, 0);
+  };
+
+  Rng rng(29);
+  Graph small = MakeErdosRenyi(12, 0.3, rng);
+  AddRandomColors(small, {"Red", "Blue"}, 0.5, rng);
+  std::vector<Vertex> all_small(small.order());
+  for (Vertex v = 0; v < small.order(); ++v) all_small[v] = v;
+  check(small, all_small, "12-vertex ER");
+
+  const int n = VmGraphIndex::kAutoBuildOrder + 100;
+  const Graph tree = MakeRandomTree(n, rng);
+  const Vertex single = VmGraphIndex::kAutoBuildOrder + 4;
+  const Vertex pivot = tree.Neighbors(single)[0];
+  std::vector<Vertex> dense = {pivot};
+  for (Vertex v = 0; v < 128; ++v) dense.push_back(v);
+  for (Vertex v = n - 40; v < n; ++v) dense.push_back(v);
+  const std::vector<Vertex> empty;
+  const std::vector<Vertex> singleton = {single};
+  const std::vector<Vertex> xs = {0, pivot, single, n - 1};
+  const struct {
+    const char* name;
+    const std::vector<Vertex>& red;
+    const std::vector<Vertex>& blue;
+  } layouts[] = {{"red dense, blue singleton", dense, singleton},
+                 {"red singleton, blue dense", singleton, dense},
+                 {"red empty, blue dense", empty, dense},
+                 {"red dense, blue empty", dense, empty}};
+  for (const auto& layout : layouts) {
+    Graph graph = tree;
+    const ColorId red = graph.AddColor("Red");
+    const ColorId blue = graph.AddColor("Blue");
+    for (Vertex v : layout.red) graph.SetColor(v, red);
+    for (Vertex v : layout.blue) graph.SetColor(v, blue);
+    check(graph, xs, std::string("sparse tree, ") + layout.name);
   }
+
+  Graph recoloured = MakeErdosRenyi(150, 0.05, rng);
+  AddRandomColors(recoloured, {"Red", "Blue"}, 0.3, rng);
+  recoloured.Finalize();
+  ASSERT_TRUE(recoloured.finalized());
+  for (Vertex v = 0; v < recoloured.order(); v += 3) {
+    recoloured.SetColor(v, 0, v % 2 == 0);
+    recoloured.SetColor(v, 1, v % 5 != 0);
+  }
+  ASSERT_FALSE(recoloured.finalized());  // member columns are stale
+  std::vector<Vertex> all_recoloured(recoloured.order());
+  for (Vertex v = 0; v < recoloured.order(); ++v) all_recoloured[v] = v;
+  check(recoloured, all_recoloured, "150-vertex ER coloured after Finalize");
+
+  // Both guard-scan forms ran, and the verdicts are not all one value.
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kCScanBegin)]);
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kCScanAtoms)]);
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
 }
 
 TEST(CompiledVsInterpreted, VmLowersSuperinstructionsForGuardedShapes) {

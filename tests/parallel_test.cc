@@ -1,5 +1,5 @@
 // Unit tests for the parallel execution subsystem (util/parallel.h) and
-// its governor hooks: the thread pool, index coverage of ParallelFor, the
+// its governor hooks: the thread pool, the worker indices and the
 // deterministic argmin/first-hit reduction of ParallelSweep, the batch
 // checkpoint arithmetic, random tuple access, and the ball cache.
 
@@ -25,26 +25,18 @@ TEST(EffectiveThreadsTest, ResolvesAndClamps) {
   EXPECT_EQ(EffectiveThreads(100000), 256);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 8}) {
-    const int64_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    for (auto& v : visits) v.store(0);
-    ParallelFor(n, threads, /*chunk_size=*/7,
-                [&](int64_t index, int) { ++visits[index]; });
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "index " << i << " threads "
-                                     << threads;
-    }
-  }
-}
-
 TEST(ThreadPoolTest, WorkerIndicesAreWithinRange) {
-  const int threads = 4;
+  SweepOptions options;
+  options.threads = 4;
+  options.chunk_size = 1;
+  options.stop_on_hit = false;
   std::atomic<bool> bad{false};
-  ParallelFor(100, threads, 1, [&](int64_t, int worker) {
-    if (worker < 0 || worker >= threads) bad.store(true);
-  });
+  SweepOutcome out = ParallelSweep(
+      100, options, [&](int64_t, int worker) -> std::pair<double, bool> {
+        if (worker < 0 || worker >= options.threads) bad.store(true);
+        return {1.0, false};
+      });
+  EXPECT_EQ(out.evaluated, 100);
   EXPECT_FALSE(bad.load());
 }
 

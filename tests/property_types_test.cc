@@ -6,6 +6,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "fo/parser.h"
 #include "graph/algorithms.h"
@@ -289,9 +291,16 @@ TEST_P(ComposeProperty, ComposeEqualsDirectLocalTypeOnFarPairs) {
 
 std::string ComposeName(const ::testing::TestParamInfo<ComposeParam>& info) {
   const ComposeParam& p = info.param;
-  return "q" + std::to_string(p.rank) + "_colours" +
-         std::to_string(p.colours) + "_k" + std::to_string(p.k) + "_ell" +
-         std::to_string(p.ell) + "_cap" + std::to_string(p.cap);
+  // Appended piece by piece: GCC's inlined `"q" + std::to_string(...)`
+  // raises a false -Wrestrict.
+  std::string name;
+  for (const auto& [label, value] :
+       {std::pair<const char*, int>{"q", p.rank}, {"_colours", p.colours},
+        {"_k", p.k}, {"_ell", p.ell}, {"_cap", p.cap}}) {
+    name += label;
+    name += std::to_string(value);
+  }
+  return name;
 }
 
 std::vector<ComposeParam> ComposeParams() {

@@ -1384,6 +1384,52 @@ TEST_F(ServerTest, DisconnectMidRequestDropsConnectionOnly) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// One numeric field of /proc/self/status ("Threads:", "VmSize:" in kB),
+// or -1 where unavailable.
+int64_t ProcStatusField(const std::string& key) {
+  std::FILE* file = std::fopen("/proc/self/status", "r");
+  if (file == nullptr) return -1;
+  char line[256];
+  int64_t value = -1;
+  while (std::fgets(line, sizeof(line), file) != nullptr) {
+    if (std::strncmp(line, key.c_str(), key.size()) == 0) {
+      value = std::strtoll(line + key.size(), nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(file);
+  return value;
+}
+
+// Every connection runs on its own thread. The accept loop joins the
+// threads of connections that have ended, so a stream of short-lived
+// clients leaves neither threads nor their stacks behind.
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  StartServer(ServerOptions{});
+  ASSERT_TRUE(MustConnect().Ping().ok());
+  const int64_t threads_before = ProcStatusField("Threads:");
+  const int64_t vm_kib_before = ProcStatusField("VmSize:");
+  ASSERT_GT(threads_before, 0);
+  for (int i = 0; i < 64; ++i) {
+    Client client = MustConnect();
+    ASSERT_TRUE(client.Ping().ok()) << i;
+  }
+  // The last connection's thread ends after our close; poll for it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int64_t threads = ProcStatusField("Threads:");
+  while (threads > threads_before + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads = ProcStatusField("Threads:");
+  }
+  EXPECT_LE(threads, threads_before + 2);
+  // An exited but unjoined thread keeps its stack mapped (8 MiB by
+  // default), so 64 of them would grow the address space by ~512 MiB;
+  // joined threads' stacks are reused.
+  EXPECT_LT(ProcStatusField("VmSize:") - vm_kib_before, 128 * 1024);
+}
+
 TEST_F(ServerTest, IdleTtlEvictsAndJournaledSessionsRewarm) {
   ServerOptions options;
   options.state_dir = MakeStateDir();

@@ -110,7 +110,9 @@ inline FormulaRef RandomFormula(Rng& rng, std::vector<std::string> vars,
           RandomFormula(rng, vars, colors, quantifier_budget, depth - 1,
                         allow_counting));
     default: {
-      std::string fresh = "q" + std::to_string(quantifier_budget);
+      // Appended: GCC warns a false -Wrestrict on `"q" + std::to_string`.
+      std::string fresh =
+          std::string("q").append(std::to_string(quantifier_budget));
       std::vector<std::string> extended = vars;
       extended.push_back(fresh);
       FormulaRef body = RandomFormula(rng, extended, colors,

@@ -242,7 +242,6 @@ EvalOptions GetEvalOptions(const Args& args, ResourceGovernor* governor) {
   EvalOptions options;
   options.engine = *engine;
   options.governor = governor;
-  options.cache_bytes = GetCacheBytes(args);
   options.missing_color_is_false = true;
   return options;
 }
@@ -628,7 +627,7 @@ int Usage() {
       "           [--ell l] [--learner brute|sublinear|nd] [--out m.txt]\n"
       "           [--checkpoint c.ckpt] [--checkpoint-every-ms T]\n"
       "           [--resume c.ckpt] [--cache-bytes B]\n"
-      "  eval     --graph g.txt --data d.txt --model m.txt [--cache-bytes B]\n"
+      "  eval     --graph g.txt --data d.txt --model m.txt\n"
       "  mc       --graph g.txt --sentence \"...\" [--via-erm 1]\n"
       "  profile  --graph g.txt [--radius r]\n"
       "  graph-pack --graph g.txt --out g.fog   (pack into the mmap-able\n"
@@ -672,12 +671,10 @@ int Main(int argc, char** argv) {
                                  "crash-at-save", "cache-bytes"});
   } else if (command == "eval") {
     unknown = args.FirstUnknown({"graph", "data", "model", "eval",
-                                 "timeout-ms", "max-work", "threads",
-                                 "cache-bytes"});
+                                 "timeout-ms", "max-work", "threads"});
   } else if (command == "mc") {
     unknown = args.FirstUnknown({"graph", "sentence", "via-erm", "eval",
-                                 "timeout-ms", "max-work", "threads",
-                                 "cache-bytes"});
+                                 "timeout-ms", "max-work", "threads"});
   } else if (command == "profile") {
     unknown = args.FirstUnknown({"graph", "radius", "timeout-ms",
                                  "max-work", "threads"});
