@@ -1,16 +1,13 @@
 // The bytecode VM's headline bench: the E9 rank-2 enumeration grid timed
 // under both evaluation engines — the register VM (mc/vm.h) and the
-// reference interpreter — plus the plan walker the VM falls back on
-// (mc/compiled_eval.h), timed on the same ell = 0 grid through
-// CompiledEvaluator directly. Every graph-independent artifact (the
-// syntactic enumeration, plan compilation, bytecode lowering) is hoisted
-// out of the timed region via PrepareFormulas. The grid search itself is
-// what is measured, so the vm/tree ratio is the dispatch-loop win, not a
+// reference interpreter. Every graph-independent artifact (the syntactic
+// enumeration, plan compilation, bytecode lowering) is hoisted out of the
+// timed region via PrepareFormulas. The grid search itself is what is
+// measured, so the vm/interp ratio is the engine's win, not a
 // compilation-amortisation artifact.
 //
 // Records (via --json, aggregated into BENCH_vm.json by run_benches.sh):
 //   vm/e9_grid        config "engine=<name> n=<n>"  — best-of-3 grid ms
-//                     (engine=compiled is the plan-walker row)
 //   vm/prepare        config "engine=vm n=<n>"      — one-time prepare ms
 //   vm/lowering       config "n=<n> phase=lower|exec" — EvalStats split
 //   vm/opcode_profile config "op=<name> n=<n>"      — counting-lane
@@ -18,7 +15,7 @@
 //       profile run's exec_ms, identical across the rows of one n)
 //
 // run_benches.sh fails the whole run if any e9_grid VM row is slower than
-// the plan-walker (engine=compiled) row for the same n.
+// the interpreter row for the same n.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +28,6 @@
 #include "graph/generators.h"
 #include "learn/erm.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -40,33 +36,6 @@
 using namespace folearn;
 
 namespace {
-
-// The ell = 0 grid through CompiledEvaluator: EnumerationErm's scan on one
-// thread (lexicographic argmin of (error, index), stop at the first zero
-// error), with one evaluator per candidate bound to the graph.
-EnumerationErmResult PlanWalkerGrid(
-    const Graph& graph, const TrainingSet& examples,
-    const std::vector<PreparedFormula>& prepared) {
-  EnumerationErmResult result;
-  result.training_error = 1e300;
-  std::vector<Vertex> env(1);
-  for (const PreparedFormula& candidate : prepared) {
-    CompiledEvaluator evaluator(*candidate.plan, graph);
-    int64_t wrong = 0;
-    for (const LabeledExample& example : examples) {
-      env[0] = example.tuple[0];
-      if (evaluator.Eval(env) != example.label) ++wrong;
-    }
-    const double error = examples.empty()
-                             ? 0.0
-                             : static_cast<double>(wrong) /
-                                   static_cast<double>(examples.size());
-    ++result.formulas_tried;
-    if (error < result.training_error) result.training_error = error;
-    if (error == 0.0) break;
-  }
-  return result;
-}
 
 // Per-opcode dispatch profile: one representative rank-2 guarded query run
 // over every vertex through the counting lane (the lane that tallies
@@ -115,12 +84,11 @@ void ProfileOpcodes(const Graph& graph, int n, BenchJsonWriter& json) {
 int main(int argc, char** argv) {
   BenchJsonWriter json(argc, argv);
   Rng rng(777);
-  std::printf("bytecode VM vs plan walker vs interpreter on the E9 rank-2 "
-              "enumeration grid\n(plan compilation and bytecode lowering "
-              "hoisted out of the timed region)\n\n");
+  std::printf("bytecode VM vs interpreter on the E9 rank-2 enumeration "
+              "grid\n(plan compilation and bytecode lowering hoisted out of "
+              "the timed region)\n\n");
 
-  Table table({"n", "formulas", "interp ms", "tree ms", "vm ms",
-               "vm/tree", "vm/interp"});
+  Table table({"n", "formulas", "interp ms", "vm ms", "vm/interp"});
   int profiled_n = 0;
   Graph profiled_graph;
   for (int n : {12, 16, 20, 24}) {
@@ -149,51 +117,42 @@ int main(int argc, char** argv) {
                 prepare_watch.ElapsedMillis(),
                 static_cast<long long>(prepared.size()));
 
-    // Legs in table order: interpreter, plan walker, VM.
-    const char* const kLegs[] = {"interpreted", "compiled", "vm"};
+    // Legs in table order: interpreter, VM.
+    const EvalEngine kLegs[] = {EvalEngine::kInterpreted, EvalEngine::kVm};
     const int kReps = 3;  // best-of-k: the ratio, not the noise
-    double best_ms[3] = {1e300, 1e300, 1e300};
-    EnumerationErmResult results[3];
-    for (int leg = 0; leg < 3; ++leg) {
+    double best_ms[2] = {1e300, 1e300};
+    EnumerationErmResult results[2];
+    for (int leg = 0; leg < 2; ++leg) {
       EvalOptions eval;
-      eval.engine =
-          leg == 0 ? EvalEngine::kInterpreted : EvalEngine::kVm;
+      eval.engine = kLegs[leg];
       for (int rep = 0; rep < kReps; ++rep) {
         Stopwatch watch;
         results[leg] =
-            leg == 1 ? PlanWalkerGrid(graph, examples, prepared)
-                     : EnumerationErm(graph, examples, 0, prepared, nullptr,
-                                      1, eval);
+            EnumerationErm(graph, examples, 0, prepared, nullptr, 1, eval);
         best_ms[leg] = std::min(best_ms[leg], watch.ElapsedMillis());
       }
       json.Record("vm/e9_grid",
-                  "engine=" + std::string(kLegs[leg]) +
+                  "engine=" + std::string(EvalEngineName(kLegs[leg])) +
                       " n=" + std::to_string(n),
                   best_ms[leg], results[leg].formulas_tried);
     }
 
-    for (int leg = 1; leg < 3; ++leg) {
-      if (results[leg].training_error != results[0].training_error ||
-          results[leg].formulas_tried != results[0].formulas_tried) {
-        std::printf("VIOLATION: the %s leg disagrees with the "
-                    "interpreter on the E9 grid!\n",
-                    kLegs[leg]);
-        return 1;
-      }
+    if (results[1].training_error != results[0].training_error ||
+        results[1].formulas_tried != results[0].formulas_tried) {
+      std::printf("VIOLATION: the VM disagrees with the interpreter on the "
+                  "E9 grid!\n");
+      return 1;
     }
 
     table.AddRow({std::to_string(n), std::to_string(results[0].formulas_tried),
                   FormatDouble(best_ms[0], 1), FormatDouble(best_ms[1], 1),
-                  FormatDouble(best_ms[2], 1),
-                  FormatDouble(best_ms[1] / best_ms[2], 2),
-                  FormatDouble(best_ms[0] / best_ms[2], 2)});
+                  FormatDouble(best_ms[0] / best_ms[1], 2)});
     profiled_n = n;
     profiled_graph = graph;
   }
   table.Print();
-  std::printf("\n'vm/tree' is the dispatch-loop win over the flattened "
-              "node-tree walk on identical plans;\nall three legs return "
-              "identical errors and formulas_tried on every row.\n");
+  std::printf("\nBoth legs return identical errors and formulas_tried on "
+              "every row.\n");
 
   ProfileOpcodes(profiled_graph, profiled_n, json);
   return 0;

@@ -1,6 +1,7 @@
 #include "fo/formula.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <unordered_set>
 
 namespace folearn {
@@ -292,26 +293,38 @@ FormulaRef Formula::ForallSet(std::string set_var, FormulaRef body) {
                            std::move(body));
 }
 
-bool Formula::IsFirstOrder() const {
-  std::vector<const Formula*> stack = {this};
+namespace {
+
+// True iff some node of the DAG below `root` has a kind in `kinds`; each
+// shared node is visited once.
+bool AnyNodeOfKind(const Formula* root,
+                   std::initializer_list<FormulaKind> kinds) {
+  std::vector<const Formula*> stack = {root};
   std::unordered_set<const Formula*> seen;
   while (!stack.empty()) {
     const Formula* node = stack.back();
     stack.pop_back();
     if (!seen.insert(node).second) continue;
-    switch (node->kind()) {
-      case FormulaKind::kSetMember:
-      case FormulaKind::kExistsSet:
-      case FormulaKind::kForallSet:
-        return false;
-      default:
-        break;
+    for (FormulaKind kind : kinds) {
+      if (node->kind() == kind) return true;
     }
-    for (const FormulaRef& child : node->children_) {
+    for (const FormulaRef& child : node->children()) {
       stack.push_back(child.get());
     }
   }
-  return true;
+  return false;
+}
+
+}  // namespace
+
+bool Formula::IsFirstOrder() const {
+  return !AnyNodeOfKind(this, {FormulaKind::kSetMember,
+                               FormulaKind::kExistsSet,
+                               FormulaKind::kForallSet});
+}
+
+bool Formula::HasCountingQuantifier() const {
+  return AnyNodeOfKind(this, {FormulaKind::kCountExists});
 }
 
 // Appended, not `"x" + std::to_string(i)`: GCC inlines that operator+

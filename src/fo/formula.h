@@ -92,6 +92,8 @@ class Formula {
 
   // True iff no MSO construct occurs anywhere in the formula.
   bool IsFirstOrder() const;
+  // True iff a counting quantifier ∃^{≥t} occurs anywhere in the formula.
+  bool HasCountingQuantifier() const;
 
   bool HasFreeVariable(const std::string& name) const;
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "mc/bytecode.h"
-#include "mc/compiler.h"
-#include "mc/vm.h"
 #include "types/hintikka.h"
 
 namespace folearn {
@@ -27,33 +24,19 @@ bool Hypothesis::Classify(const Graph& graph, std::span<const Vertex> tuple,
 double TrainingError(const Graph& graph, const Hypothesis& hypothesis,
                      const TrainingSet& examples, const EvalOptions& options) {
   if (examples.empty()) return 0.0;
+  // One batch over φ(x̄; ȳ): each example tuple followed by the parameters.
+  std::vector<std::vector<Vertex>> tuples;
+  tuples.reserve(examples.size());
+  for (const LabeledExample& example : examples) {
+    std::vector<Vertex>& tuple = tuples.emplace_back(example.tuple);
+    tuple.insert(tuple.end(), hypothesis.parameters.begin(),
+                 hypothesis.parameters.end());
+  }
+  const std::vector<bool> verdicts = EvaluateOnTuples(
+      graph, hypothesis.formula, hypothesis.AllVars(), tuples, options);
   int64_t wrong = 0;
-  if (options.engine == EvalEngine::kInterpreted) {
-    for (const LabeledExample& example : examples) {
-      if (hypothesis.Classify(graph, example.tuple, options) !=
-          example.label) {
-        ++wrong;
-      }
-    }
-  } else {
-    // Compile and lower φ(x̄; ȳ) once and sweep the example tuples over
-    // one slot environment, with the parameters written into the tail up
-    // front.
-    FOLEARN_CHECK_EQ(hypothesis.parameters.size(),
-                     hypothesis.param_vars.size());
-    CompiledFormula plan =
-        CompileFormula(hypothesis.formula, hypothesis.AllVars());
-    LoweredPlan lowered = LowerPlan(plan);
-    VmEvaluator evaluator(plan, lowered, graph, options);
-    const size_t k = hypothesis.query_vars.size();
-    std::vector<Vertex> env(k + hypothesis.parameters.size());
-    std::copy(hypothesis.parameters.begin(), hypothesis.parameters.end(),
-              env.begin() + static_cast<ptrdiff_t>(k));
-    for (const LabeledExample& example : examples) {
-      FOLEARN_CHECK_EQ(example.tuple.size(), k);
-      std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
-      if (evaluator.Eval(env) != example.label) ++wrong;
-    }
+  for (size_t i = 0; i < examples.size(); ++i) {
+    if (verdicts[i] != examples[i].label) ++wrong;
   }
   return static_cast<double>(wrong) / static_cast<double>(examples.size());
 }

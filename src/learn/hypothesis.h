@@ -37,10 +37,10 @@ struct Hypothesis {
 };
 
 // err_Λ(h): the fraction of examples classified wrongly (paper §3).
-// On the VM, compiles and lowers φ once and reuses one evaluator across
-// all examples (per-graph memoization of sentence-valued subformulas
-// included); on the interpreter it loops Classify through the reference
-// evaluator instead. Governor checkpoints fire at identical points on
+// One EvaluateOnTuples batch over every example tuple followed by the
+// parameters: on the VM φ is compiled and lowered once and one evaluator
+// serves all examples (per-graph memoization of sentence-valued
+// subformulas included). Governor checkpoints fire at identical points on
 // both engines.
 double TrainingError(const Graph& graph, const Hypothesis& hypothesis,
                      const TrainingSet& examples,

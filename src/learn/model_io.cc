@@ -199,6 +199,12 @@ StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header) {
                                   var + "'");
     }
   }
+  // The frame binds element variables only.
+  if (!(*formula)->free_set_variables().empty()) {
+    return InvalidArgumentError("formula uses free set variable '" +
+                                (*formula)->free_set_variables().front() +
+                                "'");
+  }
   return *std::move(formula);
 }
 

@@ -59,8 +59,8 @@ inline constexpr int kMaxHypothesisVars = 1024;
 StatusOr<HypothesisHeader> SplitHypothesisText(std::string_view text);
 
 // Parses header.formula and checks that its free variables lie in
-// header.AllVars(). ParseHypothesis is SplitHypothesisText followed by
-// this call.
+// header.AllVars() and that no set variable occurs free.
+// ParseHypothesis is SplitHypothesisText followed by this call.
 StatusOr<FormulaRef> ParseHypothesisFormula(const HypothesisHeader& header);
 
 // The readers of both formats: malformed text is kInvalidArgument with the

@@ -10,17 +10,19 @@ const char* VmOpName(VmOp op) {
   switch (op) {
     case VmOp::kHaltTrue: return "halt_true";
     case VmOp::kHaltFalse: return "halt_false";
-    case VmOp::kHaltTripped: return "halt_tripped";
     case VmOp::kJump: return "jump";
     case VmOp::kEdge: return "edge";
     case VmOp::kEquals: return "equals";
     case VmOp::kColor: return "color";
+    case VmOp::kSetMember: return "set_member";
     case VmOp::kAtomRun: return "atom_run";
     case VmOp::kMemoCheck: return "memo_check";
     case VmOp::kMemoWrite: return "memo_write";
     case VmOp::kCheckpoint: return "checkpoint";
     case VmOp::kScanBegin: return "scan_begin";
     case VmOp::kScanNext: return "scan_next";
+    case VmOp::kSetBegin: return "set_begin";
+    case VmOp::kSetNext: return "set_next";
     case VmOp::kEqBind: return "eq_bind";
     case VmOp::kNScanBegin: return "nscan_begin";
     case VmOp::kNScanNext: return "nscan_next";
@@ -42,12 +44,6 @@ const char* VmOpName(VmOp op) {
 
 namespace {
 
-// Degenerate plans aside, programs are a small multiple of the node count;
-// the cap only exists to stop pathological memo-shared DAGs (whose every
-// occurrence is inlined) from exploding — such plans fall back to the tree
-// engine instead.
-constexpr size_t kMaxCode = size_t{1} << 20;
-
 // A constant-pool run reference produced by literal folding.
 struct RunRef {
   int32_t first = 0;
@@ -60,21 +56,15 @@ class Lowerer {
   Lowerer(const CompiledFormula& plan, bool counting)
       : plan_(plan), nodes_(plan.nodes()), counting_(counting) {}
 
-  bool Lower(BytecodeProgram* out, std::vector<int32_t>* guard_colors,
+  void Lower(BytecodeProgram* out, std::vector<int32_t>* guard_colors,
              int32_t* superinstructions, int32_t* atom_runs) {
     const int32_t halt_true = NewLabel();
     const int32_t halt_false = NewLabel();
-    if (counting_) trip_label_ = NewLabel();
     EmitNode(plan_.root(), halt_true, halt_false);
     Place(halt_true);
     Emit({.op = VmOp::kHaltTrue});
     Place(halt_false);
     Emit({.op = VmOp::kHaltFalse});
-    if (counting_) {
-      Place(trip_label_);
-      Emit({.op = VmOp::kHaltTripped});
-    }
-    if (!ok_) return false;
     // Backpatch: every non-negative t/f holds a label id by construction.
     for (VmInst& inst : code_) {
       if (inst.t >= 0) inst.t = labels_[inst.t];
@@ -86,7 +76,6 @@ class Lowerer {
     *guard_colors = std::move(guard_colors_);
     *superinstructions = superinstructions_;
     *atom_runs = atom_runs_;
-    return true;
   }
 
  private:
@@ -175,14 +164,9 @@ class Lowerer {
 
   // Emits `id` with jump-threaded targets: control reaches `t` exactly when
   // the subformula is true. In the fast lane a memoized node first consults
-  // its memo slot and stores its verdict on both exits, mirroring the tree
-  // engine's EvalNode; the counting lane never touches memos.
+  // its memo slot and stores its verdict on both exits; the counting lane
+  // never touches memos.
   void EmitNode(int32_t id, int32_t t, int32_t f) {
-    if (!ok_) return;
-    if (code_.size() > kMaxCode) {
-      ok_ = false;
-      return;
-    }
     const CompiledNode& node = nodes_[id];
     if (!counting_ && node.memo_id >= 0) {
       const int32_t on_true = NewLabel();
@@ -241,9 +225,13 @@ class Lowerer {
         EmitCount(node, t, f);
         return;
       case COp::kSetMember:
+        // Never folded into an atom run, so the runs' hot loops stay FO.
+        Emit({.op = VmOp::kSetMember, .a = node.a, .b = node.b, .t = t,
+              .f = f});
+        return;
       case COp::kExistsSet:
       case COp::kForallSet:
-        ok_ = false;  // MSO is not lowered: plan-walker fallback
+        EmitSetQuantifier(node, t, f);
         return;
     }
     FOLEARN_CHECK(false) << "unreachable";
@@ -317,8 +305,11 @@ class Lowerer {
     }
   }
 
-  void EmitCheckpoint() {
-    if (counting_) Emit({.op = VmOp::kCheckpoint, .t = trip_label_});
+  // A trip jumps to the quantifier's false exit `tripped`: the
+  // interpreter's quantifier returns false there and its caller goes on,
+  // so atoms after the cut count alike (every later checkpoint fails too).
+  void EmitCheckpoint(int32_t tripped) {
+    if (counting_) Emit({.op = VmOp::kCheckpoint, .t = tripped});
   }
 
   // One level of a (fused) quantifier block as a full vertex scan. The
@@ -351,7 +342,7 @@ class Lowerer {
     const int32_t next = NewLabel();
     Emit({.op = VmOp::kScanBegin, .a = slot});
     Place(body);
-    EmitCheckpoint();
+    EmitCheckpoint(f);
     const int32_t body_t = is_exists ? t : next;
     const int32_t body_f = is_exists ? next : f;
     if (innermost) {
@@ -362,6 +353,23 @@ class Lowerer {
     Place(next);
     Emit({.op = VmOp::kScanNext,
           .a = slot,
+          .t = body,
+          .f = is_exists ? f : t});
+  }
+
+  // ∃S / ∀S: a loop over every subset in the interpreter's order, the
+  // counting lane checkpointing once per subset.
+  void EmitSetQuantifier(const CompiledNode& node, int32_t t, int32_t f) {
+    const bool is_exists = node.op == COp::kExistsSet;
+    const int32_t body = NewLabel();
+    const int32_t next = NewLabel();
+    Emit({.op = VmOp::kSetBegin, .a = node.a});
+    Place(body);
+    EmitCheckpoint(f);
+    EmitNode(node.child, is_exists ? t : next, is_exists ? next : f);
+    Place(next);
+    Emit({.op = VmOp::kSetNext,
+          .a = node.a,
           .t = body,
           .f = is_exists ? f : t});
   }
@@ -380,7 +388,7 @@ class Lowerer {
       const int32_t next = NewLabel();
       Emit({.op = VmOp::kScanBegin, .a = node.a});
       Place(body);
-      EmitCheckpoint();
+      EmitCheckpoint(f);
       EmitList(plan_.children(node), /*skip=*/-1, is_exists,
                is_exists ? t : next, is_exists ? next : f);
       Place(next);
@@ -474,7 +482,7 @@ class Lowerer {
           .c = frame});
     Place(top);
     Emit({.op = VmOp::kCntTop, .a = node.a, .c = frame, .f = exit});
-    EmitCheckpoint();
+    EmitCheckpoint(f);
     EmitNode(node.child, hit, step);
     Place(hit);
     Emit({.op = VmOp::kCntHit, .c = frame});
@@ -493,35 +501,23 @@ class Lowerer {
   std::vector<int32_t> labels_;
   std::vector<int32_t> guard_colors_;
   int32_t num_frames_ = 0;
-  int32_t trip_label_ = -1;
   int32_t superinstructions_ = 0;
   int32_t atom_runs_ = 0;
-  bool ok_ = true;
 };
 
 }  // namespace
 
 LoweredPlan LowerPlan(const CompiledFormula& plan) {
   LoweredPlan out;
-  for (const CompiledNode& node : plan.nodes()) {
-    if (node.op == COp::kSetMember || node.op == COp::kExistsSet ||
-        node.op == COp::kForallSet) {
-      return out;  // MSO: evaluate on the plan-walker fallback
-    }
-  }
-  Lowerer fast(plan, /*counting=*/false);
-  if (!fast.Lower(&out.fast, &out.guard_colors, &out.superinstructions,
-                  &out.fused_atom_runs)) {
-    return out;
-  }
+  if (plan.source() != nullptr) return out;  // oversized: the interpreter
+  Lowerer(plan, /*counting=*/false)
+      .Lower(&out.fast, &out.guard_colors, &out.superinstructions,
+             &out.fused_atom_runs);
   std::vector<int32_t> unused_colors;
   int32_t unused_supers = 0;
   int32_t unused_runs = 0;
-  Lowerer counting(plan, /*counting=*/true);
-  if (!counting.Lower(&out.counting, &unused_colors, &unused_supers,
-                      &unused_runs)) {
-    return out;
-  }
+  Lowerer(plan, /*counting=*/true)
+      .Lower(&out.counting, &unused_colors, &unused_supers, &unused_runs);
   out.supported = true;
   return out;
 }

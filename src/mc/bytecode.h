@@ -43,10 +43,12 @@ namespace folearn {
 //    EvalStats counters and governor cut points come out byte-identical to
 //    mc/evaluator.cc.
 //
-// MSO set quantifiers are not lowered: LowerPlan returns supported=false
-// and the VM evaluator delegates to its internal plan walker
-// (mc/compiled_eval.h, itself byte-identical to the interpreter), so
-// verdicts never depend on which path actually ran.
+// MSO set quantifiers lower to loops over a word-sized set register
+// (kSetBegin/kSetNext step it through 0 … 2^n − 1, the interpreter's
+// order; the counting program checkpoints once per subset) and set
+// membership to the jump-threaded atom kSetMember, which never joins an
+// atom run. The one plan LowerPlan leaves unsupported is an oversized one
+// (CompiledFormula::source() set): the VM runs it on the interpreter.
 
 // Bytecode opcodes. Operand roles are per-opcode (see VmInst); `t`/`f` are
 // jump targets taken on true/false outcomes, -1 when the opcode falls
@@ -55,13 +57,14 @@ enum class VmOp : uint8_t {
   // Terminals.
   kHaltTrue,    // return true
   kHaltFalse,   // return false
-  kHaltTripped, // governor tripped: unwind (returned value is unspecified)
   kJump,        // unconditional jump to t
 
   // Atoms (jump-threaded: jump to t when the atom holds, else f).
   kEdge,   // E(env[a], env[b])
   kEquals, // env[a] == env[b]
   kColor,  // colour a = plan colour index b applied to env[a]
+  kSetMember,  // env[a] ∈ set register b; b < 0 names a free set variable
+               // (CHECK-fails like the interpreter when reached)
 
   // A fused run of consecutive atoms: constant-pool entries
   // [c, c + d). Conjunctive (default): every entry's value must equal its
@@ -74,13 +77,19 @@ enum class VmOp : uint8_t {
   kMemoWrite, // memo slot a := b (0/1), then jump t
 
   // Governor checkpoint + quantifier-branch count (counting program only).
-  // A trip jumps to t (the kHaltTripped instruction); otherwise falls
-  // through after counting one branch.
+  // A trip jumps to t, the enclosing quantifier's false exit (the
+  // interpreter's quantifier returns false on a trip and its caller
+  // continues); otherwise falls through after counting one branch.
   kCheckpoint,
 
   // Generic quantifier loop over all vertices: env[a] is the loop counter.
   kScanBegin, // CHECK order > 0; env[a] = 0; fall through into the body
   kScanNext,  // ++env[a]; jump t (body) while env[a] < order, else f
+
+  // MSO set quantifier loop over all 2^order subsets: set register a is
+  // the loop counter (bit v set ⇔ vertex v is a member).
+  kSetBegin, // CHECK order ≤ kMaxMsoOrder; set[a] = ∅; fall through
+  kSetNext,  // ++set[a]; jump t (body) while set[a] < 2^order, else f
 
   // Guard-fused loops with non-atom bodies. Loop state (the neighbour
   // cursor, or the colour scan's bitset word and unvisited bits) lives in
@@ -156,16 +165,17 @@ struct BytecodeProgram {
 // LowerPlan; shareable across threads and graphs exactly like the plan it
 // was lowered from (all per-graph state lives in the VM).
 struct LoweredPlan {
-  // False when the plan contains MSO set quantification (or the program
-  // exceeded the size cap): the VM then delegates whole evaluations to its
-  // internal plan-walker fallback.
+  // False only for an oversized plan (CompiledFormula::source() set): both
+  // programs stay empty and the VM evaluates the source on the
+  // interpreter.
   bool supported = false;
   BytecodeProgram fast;
   BytecodeProgram counting;
-  // Plan colour indices the fast program scans as guard domains. A graph
-  // that cannot resolve one of these names forces the VM's fallback (whose
-  // full scan reproduces the interpreter's lazy missing-colour semantics at
-  // the guard's original position).
+  // Plan colour indices the fast program scans as guard domains. On a
+  // graph that cannot resolve one of these names the VM runs the counting
+  // program for every call: its full scans never read a guard domain and
+  // reproduce the interpreter's lazy missing-colour semantics at the
+  // guard's original position.
   std::vector<int32_t> guard_colors;
   // Diagnostics, surfaced by benches and the server's get-model stats.
   int32_t superinstructions = 0; // fused quantifier+atom-body opcodes

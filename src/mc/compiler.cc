@@ -1,5 +1,6 @@
 #include "mc/compiler.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -40,6 +41,9 @@ class FormulaCompiler {
   CompiledFormula Run(const FormulaRef& formula) {
     FOLEARN_CHECK(formula != nullptr);
     plan_.root_ = Compile(formula);
+    if (bound_[plan_.root_] > kMaxLoweredInstructions) {
+      plan_.source_ = formula;
+    }
     plan_.env_size_ = next_slot_;
     for (size_t i = 0; i < used_free_.size(); ++i) {
       if (used_free_[i]) {
@@ -197,8 +201,57 @@ class FormulaCompiler {
         node.op != COp::kTrue && node.op != COp::kFalse) {
       node.memo_id = plan_.num_memo_slots_++;
     }
+    // Bound on the tree expansion's instructions, clamped above the cap.
+    int64_t bound = InstructionBound(node);
+    for (int32_t child : children) bound += bound_[child];
+    if (node.child >= 0) bound += bound_[node.child];
+    bound_.push_back(std::min(bound, kMaxLoweredInstructions + 1));
     plan_.nodes_.push_back(node);
     return static_cast<int32_t>(plan_.nodes_.size()) - 1;
+  }
+
+  // Most instructions one occurrence of `node` lowers to in either
+  // bytecode program (mc/bytecode.cc), its subformulas excluded:
+  //   - a loop per quantifier level, set quantifier or guard scan: begin,
+  //     checkpoint, next (a guard scan with an empty body: begin, next,
+  //     one jump);
+  //   - a counting quantifier's loop: six;
+  //   - an atom or a constant: one (a fused run of atoms is one
+  //     instruction for two or more);
+  //   - ¬ and a non-empty ∧/∨: none (they only route jump targets);
+  //   - a memoised node adds the fast program's check and two writes.
+  static int64_t InstructionBound(const CompiledNode& node) {
+    int64_t own;
+    switch (node.op) {
+      case COp::kNot:
+        own = 0;
+        break;
+      case COp::kAnd:
+      case COp::kOr:
+        own = node.num_children == 0 ? 1 : 0;
+        break;
+      case COp::kExists:
+      case COp::kForall:
+        own = int64_t{3} * node.b;
+        break;
+      case COp::kGuardedExists:
+      case COp::kGuardedForall:
+      case COp::kColorGuardedExists:
+      case COp::kColorGuardedForall:
+      case COp::kEqGuardedExists:
+      case COp::kEqGuardedForall:
+      case COp::kExistsSet:
+      case COp::kForallSet:
+        own = 3;
+        break;
+      case COp::kCountExists:
+        own = 6;
+        break;
+      default:  // atoms, set membership, constants
+        own = 1;
+        break;
+    }
+    return own + (node.memo_id >= 0 ? 3 : 0);
   }
 
   uint64_t SlotMask(int32_t slot) const {
@@ -371,6 +424,7 @@ class FormulaCompiler {
   std::vector<std::pair<std::string, int32_t>> set_scope_;
   std::vector<bool> used_free_;
   std::map<Key, int32_t> dedup_;
+  std::vector<int64_t> bound_;  // per plan node: InstructionBound, inlined
   int32_t next_slot_ = 0;
 };
 

@@ -43,6 +43,23 @@ namespace folearn {
 // twice, while sentence-valued (closed) subformulas always collapse to one
 // plan node and get a memo slot: the evaluator computes them once per
 // graph.
+//
+// MSO set variables get their own slot space: set slot i is one word-sized
+// VM register holding a subset of the (at most kMaxMsoOrder) vertices.
+//
+// The lowering inlines every occurrence of a shared node, so the bytecode
+// grows with the plan's tree expansion, not its DAG. The compiler bounds
+// the instructions that expansion lowers to; a plan whose bound exceeds
+// kMaxLoweredInstructions keeps its source formula and runs on the
+// interpreter instead of the VM.
+
+// Cap on a plan's bound on lowered instructions: each bytecode program
+// stays within it (plus its two halts). The bound takes the larger of the
+// two programs' costs per node, so it is close to the real size: a
+// learned rank-2 model of 3.3 MB text (315,723 plan nodes) bounds to
+// 290,844 and lowers to 156,269 (fast) and 207,726 (counting)
+// instructions.
+inline constexpr int64_t kMaxLoweredInstructions = int64_t{1} << 20;
 
 // Opcodes of the compiled plan.
 enum class COp : uint8_t {
@@ -140,6 +157,12 @@ class CompiledFormula {
   int32_t guarded_nodes() const { return guarded_nodes_; }
   int32_t fused_levels() const { return fused_levels_; }
 
+  // The compiled formula, kept only when the plan's instruction bound
+  // exceeds kMaxLoweredInstructions (nullptr otherwise): LowerPlan leaves
+  // such a plan unsupported and the VM evaluates this formula on the
+  // interpreter.
+  const FormulaRef& source() const { return source_; }
+
  private:
   friend class FormulaCompiler;
 
@@ -155,6 +178,7 @@ class CompiledFormula {
   int32_t num_memo_slots_ = 0;
   int32_t guarded_nodes_ = 0;
   int32_t fused_levels_ = 0;
+  FormulaRef source_;
 };
 
 // Compiles `formula` against the frame layout free_var_order[i] ↦ slot i

@@ -161,7 +161,7 @@ class Evaluator {
       }
       case FormulaKind::kExistsSet:
       case FormulaKind::kForallSet: {
-        FOLEARN_CHECK_LE(graph_.order(), 22)
+        FOLEARN_CHECK_LE(graph_.order(), kMaxMsoOrder)
             << "MSO set quantification enumerates 2^n subsets; structure "
                "too large";
         const bool is_exists = f->kind() == FormulaKind::kExistsSet;

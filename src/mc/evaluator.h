@@ -140,6 +140,12 @@ struct EvalOptions {
   ResourceGovernor* governor = nullptr;
 };
 
+// Largest structure MSO set quantification runs on: the 2^n subsets of
+// a structure this size fit one uint64_t each (the VM's set registers),
+// and enumerating them is the whole cost. Both engines CHECK it; the
+// request core (service/request.h) refuses larger graphs up front.
+inline constexpr int kMaxMsoOrder = 22;
+
 // The FO-MC substrate (paper §4): decides G ⊨ φ under `assignment` by the
 // standard recursive semantics. All free variables of φ must be bound.
 // Cost O(n^q · |φ|) — XP in the quantifier rank; this is the library's
@@ -148,7 +154,7 @@ struct EvalOptions {
 // evaluated (finite-model-theory convention: no empty structures).
 //
 // MSO: set quantifiers are evaluated by enumerating all 2^n subsets —
-// structures up to ~22 vertices only (CHECK-enforced).
+// structures up to kMaxMsoOrder vertices only (CHECK-enforced).
 //
 // This entry point always runs the recursive interpreter: it is the
 // reference oracle the VM (mc/compiler.h, mc/vm.h) is differentially

@@ -31,6 +31,9 @@ int64_t PlanPayloadBytes(const CompiledFormula& plan) {
   for (const std::string& s : plan.free_set_names()) bytes += StringBytes(s);
   bytes += static_cast<int64_t>(plan.used_free_slots().capacity()) *
            static_cast<int64_t>(sizeof(int32_t));
+  if (plan.source() != nullptr) {  // an oversized plan keeps its formula
+    bytes += plan.source()->DagSize() * static_cast<int64_t>(sizeof(Formula));
+  }
   return bytes;
 }
 

@@ -25,6 +25,9 @@ namespace folearn {
 // long the lowering took (amortised across every reuse; surfaced by the
 // server's get-model stats). All members are immutable and shareable
 // across threads and graphs; per-graph state lives in the evaluators.
+// Every plan lowers, MSO included; only an oversized plan's bytecode is
+// unsupported, and its VmEvaluator runs the plan's source formula on the
+// interpreter.
 struct CachedPlan {
   std::shared_ptr<const CompiledFormula> plan;
   std::shared_ptr<const LoweredPlan> bytecode;
@@ -55,8 +58,8 @@ struct CachedPlan {
 //
 // Budgeting mirrors BallCache: `bytes() <= max_bytes` is a hard invariant
 // maintained by FIFO eviction, the accounting covers the plan's node and
-// string payloads, the bytecode, and per-entry
-// key/metadata overhead, and a single entry larger than the whole budget
+// string payloads (plus an oversized plan's source formula), the
+// bytecode, and per-entry key/metadata overhead, and a single entry larger than the whole budget
 // is returned uncached (the shared_ptrs keep it alive for the caller; the
 // cache remembers only that it happened).
 class PlanCache {

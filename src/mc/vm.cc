@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <optional>
 
 #include "util/check.h"
@@ -38,25 +39,25 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
   color_rows_.reserve(plan.color_names().size());
   for (const std::string& name : plan.color_names()) {
     std::optional<ColorId> color = graph.FindColor(name);
-    color_rows_.push_back(
-        color.has_value() ? graph.ColorWords(*color).data() : nullptr);
-  }
-  bool runnable = lowered.supported;
-  if (runnable) {
-    // The fast program scans guard colour classes directly; a graph that
-    // cannot resolve one of those names must take the plan walker, whose
-    // full-scan path reproduces the interpreter's lazy missing-colour
-    // semantics at the guard's original position.
-    for (int32_t index : lowered.guard_colors) {
-      if (color_rows_[index] == nullptr) {
-        runnable = false;
-        break;
+    if (color.has_value()) {
+      color_rows_.push_back(graph.ColorWords(*color).data());
+    } else if (options.missing_color_is_false) {
+      // An empty class: atoms and guard scans read one shared zero row.
+      if (empty_row_.empty()) {
+        empty_row_.assign(std::max(graph.WordsPerColor(), 1), 0);
       }
+      color_rows_.push_back(empty_row_.data());
+    } else {
+      color_rows_.push_back(nullptr);  // CHECK-fails where evaluated
     }
   }
-  if (!runnable) {
-    fallback_.emplace(plan, graph, options);
-    return;
+  if (!lowered.supported) return;  // oversized: Eval runs the interpreter
+  // The fast program scans guard colour classes directly. A guard colour
+  // that must CHECK-fail when evaluated takes the counting program, whose
+  // full scans reach the guard atom at its original position, exactly
+  // where the interpreter fails.
+  for (int32_t index : lowered.guard_colors) {
+    if (color_rows_[index] == nullptr) counting_only_ = true;
   }
   if (edge_index_ == nullptr &&
       graph.order() <= VmGraphIndex::kAutoBuildOrder) {
@@ -69,13 +70,17 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
     scratch_body_.assign(edge_index_->stride, 0);
   }
   env_.assign(plan.env_size(), 0);
+  sets_.assign(plan.num_set_slots(), 0);
   memo_.assign(plan.num_memo_slots(), -1);
   frames_.resize(static_cast<size_t>(
       std::max(lowered.fast.num_frames, lowered.counting.num_frames)));
 }
 
 bool VmEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
-  if (fallback_.has_value()) return fallback_->Eval(tuple, stats);
+  if (!lowered_.supported) {
+    return Evaluate(graph_, plan_.source(),
+                    Assignment(plan_.free_vars(), tuple), options_, stats);
+  }
   FOLEARN_CHECK_EQ(tuple.size(), plan_.free_vars().size());
   for (size_t i = 0; i < tuple.size(); ++i) {
     env_[i] = tuple[i];
@@ -85,7 +90,8 @@ bool VmEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
         << "variable '" << plan_.free_vars()[slot]
         << "' bound to invalid vertex " << env_[slot];
   }
-  const bool counting = stats != nullptr || options_.governor != nullptr;
+  const bool counting =
+      counting_only_ || stats != nullptr || options_.governor != nullptr;
   const bool value = counting ? Run<true>(lowered_.counting, stats)
                               : Run<false>(lowered_.fast, nullptr);
   if (stats != nullptr) stats->status = GovernorStatus(options_.governor);
@@ -397,18 +403,20 @@ bool VmEvaluator::Run(const BytecodeProgram& program, EvalStats* stats) {
 
 #if FOLEARN_VM_COMPUTED_GOTO
   // One jump table per instantiation; order must match the VmOp enum.
-  static const void* const kJump[kNumVmOps] = {
-      &&op_kHaltTrue,    &&op_kHaltFalse,  &&op_kHaltTripped,
-      &&op_kJump,        &&op_kEdge,       &&op_kEquals,
-      &&op_kColor,       &&op_kAtomRun,    &&op_kMemoCheck,
+  static const void* const kJump[] = {
+      &&op_kHaltTrue,    &&op_kHaltFalse,  &&op_kJump,
+      &&op_kEdge,        &&op_kEquals,     &&op_kColor,
+      &&op_kSetMember,   &&op_kAtomRun,    &&op_kMemoCheck,
       &&op_kMemoWrite,   &&op_kCheckpoint, &&op_kScanBegin,
-      &&op_kScanNext,    &&op_kEqBind,     &&op_kNScanBegin,
-      &&op_kNScanNext,   &&op_kCScanBegin, &&op_kCScanNext,
-      &&op_kCntBegin,    &&op_kCntTop,     &&op_kCntHit,
-      &&op_kCntStep,     &&op_kCntExit,    &&op_kScanAtoms,
-      &&op_kEqBindAtoms, &&op_kNScanAtoms, &&op_kCScanAtoms,
-      &&op_kCntAtoms,
+      &&op_kScanNext,    &&op_kSetBegin,   &&op_kSetNext,
+      &&op_kEqBind,      &&op_kNScanBegin, &&op_kNScanNext,
+      &&op_kCScanBegin,  &&op_kCScanNext,  &&op_kCntBegin,
+      &&op_kCntTop,      &&op_kCntHit,     &&op_kCntStep,
+      &&op_kCntExit,     &&op_kScanAtoms,  &&op_kEqBindAtoms,
+      &&op_kNScanAtoms,  &&op_kCScanAtoms, &&op_kCntAtoms,
   };
+  static_assert(std::size(kJump) == static_cast<size_t>(kNumVmOps),
+                "one jump-table entry per VmOp");
 #define VM_DISPATCH()                                   \
   do {                                                  \
     VM_COUNT();                                         \
@@ -435,12 +443,6 @@ vm_dispatch:
     result = false;
     goto vm_done;
   }
-  VM_CASE(kHaltTripped) {
-    // Governor tripped: the verdict is unspecified by contract; return
-    // false like the interpreter's unwound recursion.
-    result = false;
-    goto vm_done;
-  }
   VM_CASE(kJump) {
     ip = code + ip->t;
     VM_DISPATCH();
@@ -464,6 +466,15 @@ vm_dispatch:
       if (stats != nullptr) ++stats->atom_evaluations;
     }
     ip = code + (ColorHolds(ip->b, env_[ip->a]) ? ip->t : ip->f);
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetMember) {
+    if constexpr (kCounting) {
+      if (stats != nullptr) ++stats->atom_evaluations;
+    }
+    FOLEARN_CHECK(ip->b >= 0) << "unbound set variable '"
+                              << plan_.free_set_names()[-ip->b - 1] << "'";
+    ip = code + ((sets_[ip->b] >> env_[ip->a]) & 1 ? ip->t : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kAtomRun) {
@@ -517,6 +528,19 @@ vm_dispatch:
   }
   VM_CASE(kScanNext) {
     ip = code + (++env_[ip->a] < graph_.order() ? ip->t : ip->f);
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetBegin) {
+    FOLEARN_CHECK_LE(graph_.order(), kMaxMsoOrder)
+        << "MSO set quantification enumerates 2^n subsets; structure too "
+           "large";
+    sets_[ip->a] = 0;
+    ++ip;
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetNext) {
+    ip = code + (++sets_[ip->a] < uint64_t{1} << graph_.order() ? ip->t
+                                                                : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kEqBind) {
@@ -670,8 +694,8 @@ vm_dispatch:
     const bool disj = (ip->flags & kFlagDisjunctive) != 0;
     const VmAtom* const first = atoms + ip->c;
     bool verdict;
-    // Guard colours are guaranteed resolved (see the runnable check), so
-    // the graph's colour bitset is the exact scan domain.
+    // The fast program runs only when every guard colour has a row (the
+    // graph's bitset, or the empty row), so it is the exact scan domain.
     const uint64_t* const domain = color_rows_[ip->b];
     if (!kCounting && edge_index_ != nullptr) {
       verdict = VectorQuantifier(domain, ip->a, first, ip->d, disj,

@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/evaluator.h"
 
@@ -77,12 +75,16 @@ struct VmGraphIndex {
 // the `counting` program, whose counters and governor cut points are
 // byte-identical to the interpreter. Colour atoms and colour-guard scans
 // read the graph's own colour bitsets (Graph::ColorWords); the evaluator
-// keeps no per-colour state of its own.
+// keeps no per-colour state of its own. MSO set variables live in
+// word-sized set registers (one subset of ≤ kMaxMsoOrder vertices each).
 //
-// Plans the lowering rejects (MSO set quantifiers, oversized programs) and
-// graphs that cannot resolve a fast-lane guard colour delegate every call
-// to an internal plan walker (mc/compiled_eval.h), so verdicts never
-// depend on which path actually ran.
+// A colour the graph lacks is an empty class under missing_color_is_false
+// (an all-zero row, fast program included). Two cases leave the fast
+// program: without that option a fast-lane guard colour the graph lacks
+// runs the counting program for every call (it never reads guard domains,
+// so it CHECK-fails exactly where the interpreter does), and an oversized
+// plan (LowerPlan left it unsupported) runs its source formula on the
+// interpreter. Verdicts never depend on which path ran.
 //
 // Not thread-safe: one evaluator per thread (plans and LoweredPlans may be
 // shared freely).
@@ -96,6 +98,11 @@ class VmEvaluator {
   VmEvaluator(const CompiledFormula& plan, const LoweredPlan& lowered,
               const Graph& graph, const EvalOptions& options = {},
               std::shared_ptr<const VmGraphIndex> edge_index = nullptr);
+  // color_rows_ may point into empty_row_: a move keeps that buffer, a
+  // copy would not.
+  VmEvaluator(const VmEvaluator&) = delete;
+  VmEvaluator& operator=(const VmEvaluator&) = delete;
+  VmEvaluator(VmEvaluator&&) = default;
 
   // Decides G ⊨ φ(tuple) with free slot i ↦ tuple[i]; tuple must have
   // exactly plan.free_vars().size() entries. With `stats`, counters
@@ -106,9 +113,9 @@ class VmEvaluator {
 
   const CompiledFormula& plan() const { return plan_; }
   const LoweredPlan& lowered() const { return lowered_; }
-  // True when this evaluator delegates to its plan-walker fallback
-  // (unsupported plan or unresolved guard colour on this graph).
-  bool uses_fallback() const { return fallback_.has_value(); }
+  // True when every call runs the counting program (an unresolved guard
+  // colour without missing_color_is_false).
+  bool counting_only() const { return counting_only_; }
 
  private:
   template <bool kCounting>
@@ -169,16 +176,19 @@ class VmEvaluator {
   const LoweredPlan& lowered_;
   const Graph& graph_;
   EvalOptions options_;
-  // Engaged when the lowered plan is unsupported or a guard colour is
-  // unresolved on this graph; then every call delegates wholesale.
-  std::optional<CompiledEvaluator> fallback_;
+  // A fast-lane guard colour is unresolved on this graph and must
+  // CHECK-fail where evaluated: every call runs the counting program.
+  bool counting_only_ = false;
   // Bit-test atom domains: the shared (or auto-built) adjacency matrix and
-  // the graph's colour bitset (Graph::ColorWords) per plan colour name,
-  // nullptr for a name the graph does not resolve.
+  // the graph's colour bitset (Graph::ColorWords) per plan colour name.
+  // A name the graph does not resolve gets empty_row_ under
+  // missing_color_is_false, nullptr otherwise.
   std::shared_ptr<const VmGraphIndex> edge_index_;
   std::vector<uint64_t> scratch_body_;  // one row for BodySet
+  std::vector<uint64_t> empty_row_;     // all zeros, WordsPerColor() words
   std::vector<const uint64_t*> color_rows_;
   std::vector<Vertex> env_;
+  std::vector<uint64_t> sets_;  // MSO set registers, one bit per vertex
   std::vector<int8_t> memo_;  // -1 unknown, else the cached verdict
   std::vector<Frame> frames_;
 };

@@ -241,10 +241,12 @@ struct Server::Session {
     return &it->second;
   }
 
-  // The one plan run behind evaluate and query, with `mu` held. Ungoverned
-  // (`limits` empty), `run` gets the warm evaluator for `cached`, whose
-  // per-graph memo persists across requests; otherwise a scratch evaluator
-  // on the governed slow lane, so the warm one never observes a trip.
+  // The one plan run behind evaluate and query, with `mu` held. A plan
+  // that does not fit this session's graph (CheckSetQuantifiersFit) is
+  // refused first, cache hit or not. Ungoverned (`limits` empty), `run`
+  // gets the warm evaluator for `cached`, whose per-graph memo persists
+  // across requests; otherwise a scratch evaluator on the governed slow
+  // lane, so the warm one never observes a trip.
   // `run(vm, governor, response)` evaluates, fills in the payload and
   // returns how many evaluations it made; the response is then stamped
   // partial / run-status / work-used, and the evaluations and their wall
@@ -253,6 +255,9 @@ struct Server::Session {
   Message RunPlan(const CachedPlan& cached,
                   const std::optional<GovernorLimits>& limits,
                   ModelEntry* entry, Run&& run) {
+    Status fits =
+        CheckSetQuantifiersFit(graph, cached.plan->num_set_slots() > 0);
+    if (!fits.ok()) return MakeErrorFromStatus(fits);
     std::optional<ResourceGovernor> governor;
     std::optional<EngineEvaluator> scratch;
     EngineEvaluator* evaluator;

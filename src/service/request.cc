@@ -10,6 +10,7 @@
 #include "learn/model_io.h"
 #include "learn/nd_learner.h"
 #include "learn/sublinear.h"
+#include "mc/evaluator.h"
 #include "server/protocol.h"
 #include "types/type.h"
 #include "util/governor.h"
@@ -202,7 +203,36 @@ StatusOr<FormulaRef> ParseSentence(std::string_view text) {
                                 (*sentence)->free_variables().front() +
                                 "' occurs free");
   }
+  if (!(*sentence)->free_set_variables().empty()) {
+    return InvalidArgumentError("not a sentence: set variable '" +
+                                (*sentence)->free_set_variables().front() +
+                                "' occurs free");
+  }
   return *std::move(sentence);
+}
+
+Status CheckSetQuantifiersFit(const Graph& graph, bool uses_set_variables) {
+  if (!uses_set_variables || graph.order() <= kMaxMsoOrder) {
+    return OkStatus();
+  }
+  return InvalidArgumentError(
+      "set quantifiers enumerate 2^n subsets: the graph has " +
+      std::to_string(graph.order()) + " vertices, over the MSO limit of " +
+      std::to_string(kMaxMsoOrder));
+}
+
+Status CheckPlainFo(const FormulaRef& sentence) {
+  if (!sentence->IsFirstOrder()) {
+    return InvalidArgumentError(
+        "the ERM reduction covers plain FO: MSO set variables are not "
+        "supported");
+  }
+  if (sentence->HasCountingQuantifier()) {
+    return InvalidArgumentError(
+        "the ERM reduction covers plain FO: counting quantifiers are not "
+        "supported");
+  }
+  return OkStatus();
 }
 
 StatusOr<MaterializedModel> MaterializeModel(const TypeSetHypothesis& model) {

@@ -67,9 +67,22 @@ ErmResult RunLearn(const Graph& graph, const TrainingSet& examples,
                    const LearnRequest& request, ErmOptions context,
                    std::shared_ptr<TypeRegistry> registry = nullptr);
 
-// Parses an FO sentence (kInvalidArgument on a parse error or a free
-// variable).
+// Parses an FO sentence (kInvalidArgument on a parse error, a free
+// variable or a free set variable).
 StatusOr<FormulaRef> ParseSentence(std::string_view text);
+
+// A formula with MSO set quantifiers enumerates all 2^n subsets of the
+// graph, so on a graph above kMaxMsoOrder vertices it is refused
+// (kInvalidArgument). `uses_set_variables`: folearnd passes
+// plan.num_set_slots() > 0 on every request after plan resolution (a
+// cached plan is checked against each graph it meets), folearn_cli
+// !formula->IsFirstOrder().
+Status CheckSetQuantifiersFit(const Graph& graph, bool uses_set_variables);
+
+// Model checking through the FO-ERM oracle (mc --via-erm, Lemma 7) covers
+// plain FO: a sentence with a counting quantifier or any MSO construct is
+// refused (kInvalidArgument).
+Status CheckPlainFo(const FormulaRef& sentence);
 
 // A learned model in both of its delivered forms.
 struct MaterializedModel {

@@ -160,6 +160,18 @@ rc=0
     || rc=$?
 [ "$rc" -eq 65 ]
 grep -q "'x' occurs free" "$DIR/free.log"
+# mc --via-erm reduces to FO-ERM, which covers plain FO: a counting or a
+# set quantifier exits 65 instead of reaching the reduction.
+for sentence in "exists>=2 x. Red(x)" "existsset X. exists x. x in X"; do
+  rc=0
+  "$CLI" mc --graph "$DIR/g.txt" --sentence "$sentence" --via-erm 1 \
+      2> "$DIR/erm.log" || rc=$?
+  [ "$rc" -eq 65 ] || {
+    echo "mc --via-erm '$sentence': expected 65, got $rc" >&2
+    exit 1
+  }
+  grep -q 'the ERM reduction covers plain FO' "$DIR/erm.log"
+done
 # A missing --sentence is a usage error, and so is a negative profile
 # radius (it used to reach a CHECK in the wcol computation).
 rc=0

@@ -1,7 +1,7 @@
 // Differential testing of the fast evaluation engine — plans
 // (mc/compiler.h) lowered to register bytecode (mc/bytecode.h) and run by
-// the VM (mc/vm.h), including its internal plan-walker fallback — against
-// the recursive reference interpreter. The contract under test: for every
+// the VM (mc/vm.h), MSO set quantifiers included — against the recursive
+// reference interpreter. The contract under test: for every
 // formula, graph, and tuple, both engines return identical verdicts,
 // identical EvalStats work counts, and — under a governor — identical cut
 // points (status, work_used, checkpoints_passed), including trips injected
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fo/enumerate.h"
+#include "fo/mso.h"
 #include "fo/parser.h"
 #include "fo/printer.h"
 #include "graph/generators.h"
@@ -428,8 +429,9 @@ TEST(CompiledVsInterpreted, TrainingErrorMatchesAcrossModes) {
 }
 
 // VM-specific surfaces: per-opcode dispatch counters, the lower/exec
-// timing split, superinstruction coverage, and the whole-evaluator
-// fallback for plans the lowerer rejects (MSO set quantifiers).
+// timing split, superinstruction coverage, MSO set registers, and the
+// paths that leave the fast program (an unresolved guard colour, an
+// oversized plan).
 TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
   Rng rng(23);
   Graph graph = MakeErdosRenyi(10, 0.3, rng);
@@ -458,11 +460,11 @@ TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
 }
 
 // Colour-guarded quantifiers scan the set bits of the graph's colour
-// bitsets (Graph::ColorWords) in increasing vertex order, in the VM and in
-// its plan walker. Against the interpreter, a VM reused across tuples must
-// agree on every verdict in both lanes, and its counting lane on every
-// work counter, on: a small graph (word-parallel bodies over one word;
-// the plan walker via MSO-wrapped formulas), a sparse graph above
+// bitsets (Graph::ColorWords) in increasing vertex order. Against the
+// interpreter, a VM reused across tuples must agree on every verdict in
+// both lanes, and its counting lane on every work counter, on: a small
+// graph (word-parallel bodies over one word, and the same scans inside an
+// MSO set-quantifier loop), a sparse graph above
 // VmGraphIndex::kAutoBuildOrder (no adjacency index, so the scalar scans
 // run) whose classes are empty, a singleton past vertex 4096, or dense
 // (whole leading words, empty middle words, the partial last word), and a
@@ -479,26 +481,28 @@ TEST(CompiledVsInterpreted, VmColourGuardedScansMatchInterpreter) {
                    const std::string& label) {
     for (const char* text : texts) {
       // On graphs small enough for MSO, φ also runs wrapped as
-      // ∀S (∃w S(w) ∨ φ), which has φ's verdict but does not lower to
-      // bytecode: the VM's plan walker then runs the colour scans.
+      // ∀S (∃w S(w) ∨ φ), which has φ's verdict: the colour scans then run
+      // inside the VM's set-quantifier loop.
       const FormulaRef plain = MustParseFormula(text);
-      std::vector<FormulaRef> formulas = {plain};
-      if (graph.order() <= 22) {
+      std::vector<FormulaRef> formulas;
+      formulas.reserve(2);
+      formulas.push_back(plain);
+      if (graph.order() <= kMaxMsoOrder) {
         formulas.push_back(Formula::ForallSet(
             "S",
             Formula::Or(Formula::Exists("w", Formula::SetMember("w", "S")),
                         plain)));
       }
       for (const FormulaRef& formula : formulas) {
-        const bool walker = formula != plain;
-        SCOPED_TRACE(label + ": " + text + (walker ? " (plan walker)" : ""));
+        const bool wrapped = formula != plain;
+        SCOPED_TRACE(label + ": " + text + (wrapped ? " (in ∀S)" : ""));
         const CompiledFormula plan = CompileFormula(formula, vars);
         const LoweredPlan lowered = LowerPlan(plan);
+        ASSERT_TRUE(lowered.supported);
         for (const VmInst& inst : lowered.fast.code) {
           ops_seen[static_cast<int>(inst.op)] = true;
         }
         VmEvaluator vm(plan, lowered, graph, Vm());
-        ASSERT_EQ(vm.uses_fallback(), walker);
         for (Vertex x : xs) {
           const std::vector<Vertex> tuple = {x};
           EvalStats expected_stats;
@@ -566,9 +570,11 @@ TEST(CompiledVsInterpreted, VmColourGuardedScansMatchInterpreter) {
   for (Vertex v = 0; v < recoloured.order(); ++v) all_recoloured[v] = v;
   check(recoloured, all_recoloured, "150-vertex ER coloured after Finalize");
 
-  // Both guard-scan forms ran, and the verdicts are not all one value.
+  // Both guard-scan forms and the set loop ran, and the verdicts are not
+  // all one value.
   EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kCScanBegin)]);
   EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kCScanAtoms)]);
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kSetBegin)]);
   EXPECT_GT(verdicts[0], 0);
   EXPECT_GT(verdicts[1], 0);
 }
@@ -587,25 +593,138 @@ TEST(CompiledVsInterpreted, VmLowersSuperinstructionsForGuardedShapes) {
   }
 }
 
-TEST(CompiledVsInterpreted, VmFallsBackOnMsoPlans) {
+TEST(CompiledVsInterpreted, VmRunsMsoPlans) {
   Graph graph = MakeCycle(5);
   FormulaRef mso = Formula::ExistsSet(
       "S", Formula::Exists("y", Formula::SetMember("y", "S")));
   CompiledFormula plan = CompileFormula(mso, {});
   LoweredPlan lowered = LowerPlan(plan);
-  EXPECT_FALSE(lowered.supported);
+  ASSERT_TRUE(lowered.supported);
   VmEvaluator evaluator(plan, lowered, graph);
-  EXPECT_TRUE(evaluator.uses_fallback());
   EXPECT_EQ(evaluator.Eval({}),
             EvaluateSentence(graph, mso, Interpreted()));
 }
 
-// The VM's other fallback trigger: a fast-lane guard colour the graph does
-// not have. With missing_color_is_false the absent colour is an empty
-// class; the evaluator must hand the whole plan to its plan walker, whose
-// full scan reproduces the interpreter's lazy missing-colour semantics —
-// same verdict, same counters, same cut points.
-TEST(CompiledVsInterpreted, VmFallsBackOnUnresolvedGuardColour) {
+// A random MSO formula over the element variables `vars` and the set
+// variables `sets`: atoms (colour, edge, equality, membership),
+// connectives, element quantifiers (counting ones included) while
+// `quantifier_budget` lasts and set quantifiers while `set_budget` lasts.
+FormulaRef RandomMsoFormula(Rng& rng, std::vector<std::string> vars,
+                            std::vector<std::string> sets,
+                            int quantifier_budget, int set_budget,
+                            int depth) {
+  auto recurse = [&](int q, int s) {
+    return RandomMsoFormula(rng, vars, sets, q, s, depth - 1);
+  };
+  if (depth <= 0 || rng.Bernoulli(0.3)) {
+    const std::string& a = rng.Choose(vars);
+    const std::string& b = rng.Choose(vars);
+    switch (rng.UniformIndex(sets.empty() ? 3 : 5)) {
+      case 0: return Formula::Color("Red", a);
+      case 1: return Formula::Edge(a, b);
+      case 2: return Formula::Equals(a, b);
+      default: return Formula::SetMember(a, rng.Choose(sets));
+    }
+  }
+  switch (rng.UniformIndex(5)) {
+    case 0:
+      return Formula::Not(recurse(quantifier_budget, set_budget));
+    case 1:
+      return Formula::And(recurse(quantifier_budget, set_budget),
+                          recurse(quantifier_budget, set_budget));
+    case 2:
+      return Formula::Or(recurse(quantifier_budget, set_budget),
+                         recurse(quantifier_budget, set_budget));
+    case 3: {
+      if (quantifier_budget == 0) break;
+      const std::string var = "q" + std::to_string(quantifier_budget);
+      vars.push_back(var);
+      FormulaRef body = recurse(quantifier_budget - 1, set_budget);
+      switch (rng.UniformIndex(3)) {
+        case 0: return Formula::Exists(var, body);
+        case 1: return Formula::Forall(var, body);
+        default: return Formula::CountExists(2, var, body);
+      }
+    }
+    default: {
+      if (set_budget == 0) break;
+      const std::string set = "S" + std::to_string(set_budget);
+      sets.push_back(set);
+      FormulaRef body = recurse(quantifier_budget, set_budget - 1);
+      return rng.Bernoulli(0.5) ? Formula::ExistsSet(set, body)
+                                : Formula::ForallSet(set, body);
+    }
+  }
+  return Formula::Not(recurse(quantifier_budget, set_budget));
+}
+
+// MSO on the VM: random formulas under a set quantifier, plus the canned
+// beyond-FO properties and a nested pair of set quantifiers, on graphs of
+// up to 10 vertices. Every plan lowers; verdicts agree with the
+// interpreter in both lanes, counters in the counting lane, and on the
+// smallest graphs every governor cut point.
+TEST(CompiledVsInterpreted, VmMsoFormulasMatchInterpreter) {
+  const std::vector<std::string> vars = {"x"};
+  Rng rng(4242);
+  std::vector<bool> ops_seen(kNumVmOps, false);
+  auto check = [&](const Graph& graph, const FormulaRef& formula,
+                   bool cut_points) {
+    const std::string text = ToString(formula);
+    const CompiledFormula plan = CompileFormula(formula, vars);
+    const LoweredPlan lowered = LowerPlan(plan);
+    ASSERT_TRUE(lowered.supported) << text;
+    for (const BytecodeProgram* program : {&lowered.fast, &lowered.counting}) {
+      for (const VmInst& inst : program->code) {
+        ops_seen[static_cast<int>(inst.op)] = true;
+      }
+    }
+    for (Vertex v = 0; v < graph.order(); ++v) {
+      ExpectQueryParity(graph, formula, vars, {v},
+                        text + " n=" + std::to_string(graph.order()) +
+                            " @" + std::to_string(v));
+    }
+    if (cut_points) ExpectCutPointParity(graph, formula, vars, {0});
+  };
+  const GraphFamily families[] = {GraphFamily::kPath, GraphFamily::kCycle,
+                                  GraphFamily::kErdosRenyiSparse,
+                                  GraphFamily::kRandomTree};
+  for (GraphFamily family : families) {
+    for (int n : {4, 7, 10}) {
+      Graph graph = MakeFamilyGraph(family, n, rng);
+      AddRandomColors(graph, {"Red"}, 0.4, rng);
+      for (int i = 0; i < 10; ++i) {
+        FormulaRef body = RandomMsoFormula(rng, vars, {"S"}, 2, 0, 4);
+        FormulaRef formula = rng.Bernoulli(0.5)
+                                 ? Formula::ExistsSet("S", body)
+                                 : Formula::ForallSet("S", body);
+        check(graph, formula, n == 4);
+      }
+      check(graph, MsoSameComponentFormula("x", "x"), false);
+      for (const FormulaRef& sentence :
+           {MsoConnectivitySentence(), MsoBipartiteSentence(),
+            MsoIndependentDominatingSetSentence()}) {
+        check(graph, sentence, n == 4);
+      }
+    }
+  }
+  // Two live set registers: a cover of V by X and Y that splits x's
+  // neighbourhood.
+  Graph small = MakeCycle(5);
+  check(small,
+        MustParseFormula("existsset X. existsset Y. (forall v. (v in X | "
+                         "v in Y) & exists y. (E(x, y) & y in X & "
+                         "!(y in Y)))"),
+        true);
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kSetBegin)]);
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kSetNext)]);
+  EXPECT_TRUE(ops_seen[static_cast<int>(VmOp::kSetMember)]);
+}
+
+// A fast-lane guard colour the graph lacks, under missing_color_is_false:
+// the colour is an empty class, its row is all zeros, and the fast program
+// still runs (guard scans over the empty class). Verdicts in both lanes,
+// counters and cut points are the interpreter's.
+TEST(CompiledVsInterpreted, VmMissingGuardColourKeepsFastProgram) {
   Rng rng(61);
   Graph graph = MakeErdosRenyi(9, 0.3, rng);
   AddRandomColors(graph, {"Red"}, 0.5, rng);
@@ -618,14 +737,16 @@ TEST(CompiledVsInterpreted, VmFallsBackOnUnresolvedGuardColour) {
   for (const char* text : {"exists y. (Blue(y) & !E(x, y))",
                            "forall y. (!Blue(y) | Red(y))",
                            "Red(x) | exists y. (Blue(y) & !E(x, y) & "
-                           "exists z. E(y, z))"}) {
+                           "exists z. E(y, z))",
+                           "(forall y. (Blue(y) -> Red(y))) & forall y. "
+                           "(Red(y) -> exists z. (E(y, z) & Red(z)))"}) {
     FormulaRef formula = MustParseFormula(text);
     CompiledFormula plan = CompileFormula(formula, vars);
     LoweredPlan lowered = LowerPlan(plan);
     ASSERT_TRUE(lowered.supported) << text;
     ASSERT_FALSE(lowered.guard_colors.empty()) << text;
     VmEvaluator evaluator(plan, lowered, graph, vm);
-    EXPECT_TRUE(evaluator.uses_fallback()) << text;
+    EXPECT_FALSE(evaluator.counting_only()) << text;
     for (Vertex v = 0; v < graph.order(); ++v) {
       const std::vector<Vertex> tuple = {v};
       const std::string label = std::string(text) + " @" + std::to_string(v);
@@ -644,6 +765,140 @@ TEST(CompiledVsInterpreted, VmFallsBackOnUnresolvedGuardColour) {
     ExpectCutPointParity(graph, formula, vars, {0},
                          /*missing_color_is_false=*/true);
   }
+}
+
+// The same guard colour without missing_color_is_false: the interpreter
+// CHECK-fails when it first evaluates the colour atom, so the evaluator
+// runs the counting program for every call, which reaches the guard at
+// its original position. Tuples that never reach it get the interpreter's
+// verdict, counters and cut points; the others die with its message.
+TEST(CompiledVsInterpreted, VmUnresolvedGuardColourRunsCountingProgram) {
+  Rng rng(61);
+  Graph graph = MakeErdosRenyi(9, 0.3, rng);
+  AddRandomColors(graph, {"Red"}, 0.5, rng);
+  ASSERT_FALSE(graph.FindColor("Blue").has_value());
+  const std::vector<std::string> vars = {"x"};
+  const FormulaRef formula = MustParseFormula(
+      "Red(x) | exists y. (Blue(y) & !E(x, y) & exists z. E(y, z))");
+  CompiledFormula plan = CompileFormula(formula, vars);
+  LoweredPlan lowered = LowerPlan(plan);
+  ASSERT_TRUE(lowered.supported);
+  ASSERT_FALSE(lowered.guard_colors.empty());
+  VmEvaluator evaluator(plan, lowered, graph, Vm());
+  EXPECT_TRUE(evaluator.counting_only());
+  const ColorId red = *graph.FindColor("Red");
+  int reds = 0;
+  for (Vertex v = 0; v < graph.order(); ++v) {
+    const std::vector<Vertex> tuple = {v};
+    if (!graph.HasColor(v, red)) {
+      EXPECT_DEATH(evaluator.Eval(tuple),
+                   "colour 'Blue' not in the graph's vocabulary");
+      EXPECT_DEATH(EvaluateQuery(graph, formula, vars, tuple, Interpreted()),
+                   "colour 'Blue' not in the graph's vocabulary");
+      continue;
+    }
+    ++reds;
+    const std::string label = std::string("@").append(std::to_string(v));
+    EvalStats interpreted_stats;
+    bool expected = EvaluateQuery(graph, formula, vars, tuple, Interpreted(),
+                                  &interpreted_stats);
+    EvalStats stats;
+    EXPECT_EQ(evaluator.Eval(tuple, &stats), expected) << label;
+    EXPECT_EQ(stats.atom_evaluations, interpreted_stats.atom_evaluations)
+        << label;
+    EXPECT_EQ(stats.quantifier_branches,
+              interpreted_stats.quantifier_branches)
+        << label;
+    EXPECT_EQ(evaluator.Eval(tuple), expected) << label << " (fast lane)";
+    ExpectCutPointParity(graph, formula, vars, tuple);
+  }
+  EXPECT_GT(reds, 0);
+}
+
+// A trip inside a quantifier makes the interpreter's quantifier return
+// false and its caller go on: the atoms evaluated after the cut (here the
+// disjunct after a tripped ∀, and the conjunct after a tripped ∃ under ¬)
+// count in the VM's counting program too.
+TEST(CompiledVsInterpreted, VmTrippedQuantifierUnwindsLikeInterpreter) {
+  Rng rng(83);
+  Graph graph = MakeErdosRenyi(7, 0.4, rng);
+  AddRandomColors(graph, {"Red"}, 0.5, rng);
+  const std::vector<std::string> vars = {"x"};
+  for (const char* text :
+       {"(forall y. Red(y)) | (Red(x) & exists z. E(x, z))",
+        "!(exists y. E(x, y)) & (Red(x) | !Red(x))",
+        "(exists>=2 y. Red(y)) | Red(x)"}) {
+    ExpectCutPointParity(graph, MustParseFormula(text), vars, {0});
+  }
+}
+
+// A shared DAG whose tree expansion lowers to more than
+// kMaxLoweredInstructions: level i+1 is (x = y ∧ D_i) ∨ (x ≠ y ∧ D_i), so
+// the DAG grows linearly and the expansion doubles per level (about 2^21
+// atoms at 19 levels), while the interpreter reads one D_i per level.
+// The plan keeps its source, LowerPlan leaves it unsupported, and the
+// VM's verdicts, counters and cut points are the interpreter's.
+TEST(CompiledVsInterpreted, VmOversizedPlanRunsInterpreter) {
+  const FormulaRef pinned = Formula::Equals("x", "y");
+  FormulaRef level = Formula::And(Formula::Edge("x", "y"),
+                                  Formula::Color("Red", "y"));
+  for (int i = 0; i < 19; ++i) {
+    level = Formula::Or(Formula::And(pinned, level),
+                        Formula::And(Formula::Not(pinned), level));
+  }
+  const FormulaRef formula = Formula::Exists("y", level);
+  const std::vector<std::string> vars = {"x"};
+  const CompiledFormula plan = CompileFormula(formula, vars);
+  ASSERT_EQ(plan.source(), formula);
+  const LoweredPlan lowered = LowerPlan(plan);
+  EXPECT_FALSE(lowered.supported);
+  EXPECT_TRUE(lowered.fast.code.empty());
+  EXPECT_TRUE(lowered.counting.code.empty());
+  // A plan under the cap keeps no formula.
+  EXPECT_EQ(CompileFormula(Formula::Exists("y", Formula::Edge("x", "y")),
+                           vars)
+                .source(),
+            nullptr);
+  // Both programs of a plan just under the cap stay within 2^20
+  // instructions plus the two halts, here for a shared DAG of closed
+  // counting quantifiers (memo code around a counting loop).
+  FormulaRef closed = Formula::CountExists(
+      2, "y", Formula::Exists("z", Formula::Edge("y", "z")));
+  while (true) {
+    FormulaRef doubled = Formula::Or(closed, Formula::Not(closed));
+    if (CompileFormula(doubled, {}).source() != nullptr) break;
+    closed = doubled;
+  }
+  const CompiledFormula near_cap = CompileFormula(closed, {});
+  ASSERT_EQ(near_cap.source(), nullptr);
+  const LoweredPlan near_cap_lowered = LowerPlan(near_cap);
+  ASSERT_TRUE(near_cap_lowered.supported);
+  EXPECT_LE(near_cap_lowered.fast.code.size(), (size_t{1} << 20) + 2);
+  EXPECT_LE(near_cap_lowered.counting.code.size(), (size_t{1} << 20) + 2);
+
+  Rng rng(71);
+  Graph graph = MakeErdosRenyi(6, 0.5, rng);
+  AddRandomColors(graph, {"Red"}, 0.5, rng);
+  VmEvaluator evaluator(plan, lowered, graph, Vm());
+  int verdicts[2] = {0, 0};
+  for (Vertex v = 0; v < graph.order(); ++v) {
+    const std::vector<Vertex> tuple = {v};
+    const std::string label = "oversized @" + std::to_string(v);
+    EvalStats expected_stats;
+    const bool expected = EvaluateQuery(graph, formula, vars, tuple,
+                                        Interpreted(), &expected_stats);
+    ++verdicts[expected ? 1 : 0];
+    EvalStats stats;
+    EXPECT_EQ(evaluator.Eval(tuple, &stats), expected) << label;
+    EXPECT_EQ(stats.atom_evaluations, expected_stats.atom_evaluations)
+        << label;
+    EXPECT_EQ(stats.quantifier_branches, expected_stats.quantifier_branches)
+        << label;
+    EXPECT_EQ(evaluator.Eval(tuple), expected) << label << " (fast lane)";
+  }
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
+  ExpectCutPointParity(graph, formula, vars, {0});
 }
 
 // The Assignment rework (per-name stacks + last-binding cache) must keep

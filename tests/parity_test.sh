@@ -156,6 +156,37 @@ for row in "0|exists x. Red(x)" "2|forall x. Red(x)" "65|exists x. (" \
   check "mc: $sentence" "$expected"
 done
 
+# 3b. MSO input that used to reach a CHECK: a free set variable (in a
+#     sentence or a model formula) and set quantifiers on a graph above
+#     the 22-vertex MSO limit exit 65 on both front ends. The same MSO
+#     sentence first answers on the 16-vertex graph, so the 30-vertex row
+#     meets a cached plan and is still refused.
+printf 'hypothesis k 1 ell 0\nformula x1 in X\n' > "$DIR/free_set.txt"
+printf 'hypothesis k 1 ell 0\nformula existsset X. x1 in X\n' \
+    > "$DIR/mso.txt"
+for row in "65|g|exists x. x in X" "0|g|existsset X. exists x. x in X" \
+    "65|g30|existsset X. exists x. x in X"; do
+  expected=${row%%|*}
+  rest=${row#*|}
+  graph=${rest%%|*}
+  sentence=${rest#*|}
+  cli mc --graph "$DIR/$graph.txt" --sentence "$sentence"
+  wire "$DIR/$graph.txt" query --sentence "$sentence"
+  if [ "$WIRE_RC" -eq 0 ] && grep -q '^result: false$' "$DIR/wire.out"; then
+    WIRE_RC=2
+  fi
+  check "mc: $sentence on $graph" "$expected"
+done
+cli eval --graph "$DIR/g.txt" --data "$DIR/d.txt" \
+    --model "$DIR/free_set.txt"
+wire "$DIR/g.txt" evaluate --data-file "$DIR/d.txt" \
+    --model-file "$DIR/free_set.txt"
+check "evaluate: free set variable" 65
+cli eval --graph "$DIR/g30.txt" --data "$DIR/d30.txt" --model "$DIR/mso.txt"
+wire "$DIR/g30.txt" evaluate --data-file "$DIR/d30.txt" \
+    --model-file "$DIR/mso.txt"
+check "evaluate: set quantifier on 30 vertices" 65
+
 # 4. Invalid values: usage errors (64) on both front ends. The CLI's
 #    --timeout-ms is the wire's deadline-ms (-1 is kNoLimit on both).
 for bad in "rank -1" "rank 4x" "radius -2" "ell -1" "threads -1" \

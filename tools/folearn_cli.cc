@@ -528,6 +528,7 @@ int CmdEval(const Args& args, ResourceGovernor* governor) {
   Require(hypothesis.status());
   Require(CheckModelFits(graph, hypothesis->parameters, hypothesis->k(),
                          data));
+  Require(CheckSetQuantifiersFit(graph, !hypothesis->formula->IsFirstOrder()));
   double err = TrainingError(graph, *hypothesis, data,
                              GetEvalOptions(args, governor));
   std::printf("error: %.4f on %zu examples\n", err, data.size());
@@ -558,6 +559,7 @@ int CmdMc(const Args& args, ResourceGovernor* governor) {
   Require(sentence.status());
   bool value;
   if (args.Has("via-erm")) {
+    Require(CheckPlainFo(*sentence));
     // The reduction reads colours off the graph: declare each colour the
     // sentence names but the graph lacks as an empty class, which is what
     // the evaluators' missing_color_is_false means for plain mc.
@@ -574,6 +576,7 @@ int CmdMc(const Args& args, ResourceGovernor* governor) {
                  stats.max_representatives,
                  static_cast<long long>(stats.recursion_nodes));
   } else {
+    Require(CheckSetQuantifiersFit(graph, !(*sentence)->IsFirstOrder()));
     value = EvaluateSentence(graph, *sentence, GetEvalOptions(args, governor));
   }
   if (GovernorInterrupted(governor)) {

@@ -15,8 +15,8 @@
 # session. Every record also carries peak_rss_bytes (the binary's RSS
 # high-water mark), so --compare diffs catch memory regressions too.
 # bench_vm (the bytecode-VM E9 grid) is likewise split into BENCH_vm.json,
-# and the run FAILS if any of its E9 rows has the VM slower than the tree
-# engine — the VM's whole reason to exist is that row. bench_graph_scale
+# and the run FAILS if any of its E9 rows has the VM slower than the
+# reference interpreter — the VM's whole reason to exist is that row. bench_graph_scale
 # (the million-vertex CSR/.fog sweep) splits into BENCH_graph.json, and
 # the run FAILS if the memory-mapped .fog load at the largest measured n
 # is not at least 10x faster than the text parse — the binary format's
@@ -25,9 +25,9 @@
 # Compare mode: tools/run_benches.sh --compare baseline.json other.json
 #   joins two aggregated reports on (bench, config) and prints a per-row
 #   speedup table (baseline_ms / other_ms > 1 means `other` is faster).
-#   Reports carrying vm/e9_grid records additionally get a tree-vs-VM
-#   speedup table per file, with the same VM ≥ tree gate applied to
-#   `other` (a regression exits non-zero).
+#   Reports carrying vm/e9_grid records additionally get an
+#   interpreter-vs-VM speedup table per file, with the same VM ≥
+#   interpreter gate applied to `other` (a regression exits non-zero).
 #
 # A binary that fails (a VIOLATION self-check, a crash) aborts the whole
 # run immediately — a partial aggregate silently missing benches has
@@ -39,15 +39,15 @@ set -u
 
 repo_root=$(dirname "$0")/..
 
-# Tree-vs-VM speedup columns from a report's vm/e9_grid records (one row
-# per n), printed only when such records exist. With `enforce` non-empty,
-# exits 1 if any row has the VM slower than the tree engine.
+# Interpreter-vs-VM speedup columns from a report's vm/e9_grid records
+# (one row per n), printed only when such records exist. With `enforce`
+# non-empty, exits 1 if any row has the VM slower than the interpreter.
 vm_speedup_table() {
   file=$1
   enforce=${2:-}
   grep -q '"vm/e9_grid"' "$file" 2>/dev/null || return 0
   echo ""
-  echo "tree-vs-VM E9 grid speedups in $file:"
+  echo "interpreter-vs-VM E9 grid speedups in $file:"
   awk -v enforce="$enforce" '
     function field(line, name,    rest) {
       rest = line
@@ -60,21 +60,21 @@ vm_speedup_table() {
       ms = field($0, "wall_ms") + 0
       n = config; sub(".*n=", "", n)
       engine = config; sub(".*engine=", "", engine); sub(" .*", "", engine)
-      if (engine == "compiled") tree[n] = ms
+      if (engine == "interpreted") interp[n] = ms
       if (engine == "vm") { if (!(n in vm)) order[cnt++] = n; vm[n] = ms }
     }
     END {
-      printf "%-6s %12s %12s %9s\n", "n", "tree ms", "vm ms", "vm/tree"
+      printf "%-6s %12s %12s %10s\n", "n", "interp ms", "vm ms", "vm/interp"
       bad = 0
       for (i = 0; i < cnt; i++) {
         n = order[i]
-        if (!(n in tree)) continue
-        ratio = vm[n] > 0 ? tree[n] / vm[n] : 0
-        printf "%-6s %12.3f %12.3f %8.2fx\n", n, tree[n], vm[n], ratio
-        if (vm[n] > tree[n]) bad = 1
+        if (!(n in interp)) continue
+        ratio = vm[n] > 0 ? interp[n] / vm[n] : 0
+        printf "%-6s %12.3f %12.3f %9.2fx\n", n, interp[n], vm[n], ratio
+        if (vm[n] > interp[n]) bad = 1
       }
       if (bad && enforce != "") {
-        print "VM E9 row regressed below the tree engine" > "/dev/stderr"
+        print "VM E9 row regressed below the interpreter" > "/dev/stderr"
         exit 1
       }
     }
@@ -159,8 +159,9 @@ if [ "${1:-}" = "--compare" ]; then
       for (i = 0; i < n; i++) {
         key = order[i]
         if (!(key in seen)) continue
+        # Parenthesised: a bare ">" in a printf list redirects output.
         printf "%-58s %12.3f %12.3f %8.2fx\n", key, base[key], seen[key], \
-               seen[key] > 0 ? base[key] / seen[key] : 0
+               (seen[key] > 0 ? base[key] / seen[key] : 0)
       }
     }
   ' "$baseline" "$other"
@@ -302,7 +303,7 @@ if [ -f "$tmpdir/bench_vm.jsonl" ]; then
   write_array "$vm_out" "$tmpdir/bench_vm.jsonl"
   echo "wrote $vm_out ($(grep -c '"bench"' "$vm_out") records)"
   if ! vm_speedup_table "$vm_out" enforce; then
-    echo "run_benches.sh: VM E9 grid regressed below the tree engine" >&2
+    echo "run_benches.sh: VM E9 grid regressed below the interpreter" >&2
     exit 1
   fi
 fi
